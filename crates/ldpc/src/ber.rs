@@ -42,19 +42,15 @@
 //! `derive_seed(seed, frame)` and its [`Gaussian`] sampler is frame local
 //! (a shared sampler's cached Box–Muller variate would leak state between
 //! frames and make results depend on simulation order). Frames are fanned
-//! out across threads in chunks, while every stopping rule — the
-//! `target_errors` / `min_frames` / `max_frames` budget of
-//! [`BerSimOptions`] *and* the CI pruning of
+//! out across threads in chunks through [`wi_num::par`], while every
+//! stopping rule — the `target_errors` / `min_frames` / `max_frames`
+//! budget of [`BerSimOptions`] *and* the CI pruning of
 //! [`SearchStrategy::ConcurrentBisection`] — is applied by a serial fold
 //! over the per-frame results **in frame order**. [`simulate_ber`] and
 //! [`search_required_ebn0`] therefore return bit-identical results for
 //! any thread count; extra frames speculatively simulated past a stopping
 //! point are discarded without being counted. Each worker reuses one
 //! [`BerWorkspace`], so the hot loop does not allocate.
-//!
-//! The thread fan-out uses `std::thread::scope` directly (the build
-//! environment cannot fetch `rayon`; the chunked scope below is the
-//! dependency-free equivalent for this embarrassingly parallel loop).
 //!
 //! # Bit-identical vs statistically equivalent
 //!
@@ -75,6 +71,7 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use wi_num::par;
 use wi_num::rng::{derive_seed, seeded_rng, Gaussian};
 use wi_num::stats::{normal_ci, sample_variance_from_sums};
 
@@ -814,13 +811,6 @@ impl BerTarget for CachedBerTarget<'_> {
 /// the speculative frames past an early stop, which are discarded.
 const FRAMES_PER_WORKER: u64 = 16;
 
-/// Threads used by the auto-parallel entry points.
-fn auto_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 /// The frame-budget stop rules a single BER point runs under (the
 /// strategy-resolved view of [`BerSimOptions`] plus any search-level
 /// cap).
@@ -872,10 +862,13 @@ fn keep_going(
 /// with the given stopping rules, fanning frames out over `threads`
 /// workers.
 ///
-/// The stop rules are evaluated serially in frame order over the
-/// fanned-out results, so the returned estimate is identical for every
-/// `threads` value — extra frames speculatively simulated past the
-/// stopping point are discarded without being counted.
+/// Each round fills a block of frame slots through [`par::for_each_chunk`]
+/// (one batch per claim, one [`BerWorkspace`] per worker) and then folds
+/// it serially in frame order, checking the stop rules after every
+/// frame — so the returned estimate is identical for every `threads`
+/// value, and frames speculatively decoded past the stopping point are
+/// discarded without being counted. A single worker's round is one
+/// batch, so it never decodes past the batch where the stop fires.
 fn run_target(
     target: &dyn BerTarget,
     ebn0_db: f64,
@@ -890,68 +883,23 @@ fn run_target(
 
     // More workers than the simulation can ever have frames is pure
     // workspace-allocation waste.
-    let threads = threads.min(max_frames.max(1).try_into().unwrap_or(usize::MAX));
-
-    if threads <= 1 {
-        // One batch of frames per round, folded in frame order with the
-        // stop rules checked after every frame — frames speculatively
-        // decoded past the stopping point are discarded uncounted,
-        // exactly like the parallel path below, so batching cannot move
-        // any stopping decision.
-        let mut ws = BerWorkspace::new();
-        let mut slots = [FrameStats::default(); MAX_LANES];
-        'serial: while keep_going(&fold, &budget, extra_stop) {
-            let first = fold.frames;
-            let len = (max_frames - first).min(width as u64) as usize;
-            let out = &mut slots[..len];
-            target.eval_frames_each(&mut ws, ebn0_db, seed, first, out);
-            for frame_stats in out.iter() {
-                fold.merge(frame_stats);
-                if !keep_going(&fold, &budget, extra_stop) {
-                    break 'serial;
-                }
-            }
-        }
-        return BerEstimate::from_stats(fold);
-    }
-
-    let chunk_target = threads as u64 * FRAMES_PER_WORKER;
+    let threads = threads.clamp(1, max_frames.max(1).try_into().unwrap_or(usize::MAX));
+    let round = if threads == 1 {
+        width as u64
+    } else {
+        threads as u64 * FRAMES_PER_WORKER
+    };
     // One workspace per worker for the whole simulation, not per round —
     // a decode fully reinitializes its workspace, so reuse cannot leak
     // state between frames.
     let mut workspaces: Vec<BerWorkspace> = (0..threads).map(|_| BerWorkspace::new()).collect();
     let mut results: Vec<FrameStats> = Vec::new();
     'mc: while keep_going(&fold, &budget, extra_stop) {
-        let chunk_len = chunk_target.min(max_frames - fold.frames) as usize;
         let base = fold.frames;
         results.clear();
-        results.resize(chunk_len, FrameStats::default());
-        let per_worker = chunk_len.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for ((w, slice), ws) in results
-                .chunks_mut(per_worker)
-                .enumerate()
-                .zip(workspaces.iter_mut())
-            {
-                let first = base + (w * per_worker) as u64;
-                scope.spawn(move || {
-                    // Each worker walks its slice in batch-width chunks;
-                    // per-frame purity makes the grouping invisible in
-                    // the results.
-                    let mut i = 0;
-                    while i < slice.len() {
-                        let len = (slice.len() - i).min(width);
-                        target.eval_frames_each(
-                            ws,
-                            ebn0_db,
-                            seed,
-                            first + i as u64,
-                            &mut slice[i..i + len],
-                        );
-                        i += len;
-                    }
-                });
-            }
+        results.resize(round.min(max_frames - base) as usize, FrameStats::default());
+        par::for_each_chunk(&mut workspaces, &mut results, width, |ws, start, out| {
+            target.eval_frames_each(ws, ebn0_db, seed, base + start as u64, out)
         });
         for frame_stats in &results {
             fold.merge(frame_stats);
@@ -986,7 +934,7 @@ pub fn fill_frame_llrs(llr: &mut [f64], sigma: f64, seed: u64, frame: u64) {
 /// available cores. Bit-identical to a serial run at the same options
 /// (see the module docs).
 pub fn simulate_ber(target: &dyn BerTarget, ebn0_db: f64, opts: &BerSimOptions) -> BerEstimate {
-    simulate_ber_with_threads(target, ebn0_db, opts, auto_threads())
+    simulate_ber_with_threads(target, ebn0_db, opts, par::threads())
 }
 
 /// [`simulate_ber`] with an explicit worker-thread count (1 = the serial
@@ -1022,7 +970,7 @@ pub fn ber_curve(
     grid: &[f64],
     opts: &BerSimOptions,
 ) -> Vec<(f64, BerEstimate)> {
-    ber_curve_with_threads(target, grid, opts, auto_threads())
+    ber_curve_with_threads(target, grid, opts, par::threads())
 }
 
 /// [`ber_curve`] with an explicit worker-thread count.
@@ -1394,7 +1342,7 @@ pub fn search_required_ebn0(
     opts: &BerSimOptions,
     search: &SearchConfig,
 ) -> SearchReport {
-    search_required_ebn0_with_threads(target, target_ber, opts, search, auto_threads())
+    search_required_ebn0_with_threads(target, target_ber, opts, search, par::threads())
 }
 
 /// [`search_required_ebn0`] with an explicit worker-thread count.
@@ -1542,23 +1490,19 @@ fn concurrent_bisection(
         // No point probing finer than the remaining bracket needs.
         let useful = ((hi - lo) / search.tol_db).ceil() as usize;
         let k = search.probes_per_round.min(useful.saturating_sub(1)).max(1);
-        let mut round: Vec<(f64, Option<BerEstimate>)> = (1..=k)
-            .map(|i| (lo + (hi - lo) * i as f64 / (k + 1) as f64, None))
+        let unmeasured = BerEstimate::from_stats(FrameStats::default());
+        let mut round: Vec<(f64, BerEstimate)> = (1..=k)
+            .map(|i| (lo + (hi - lo) * i as f64 / (k + 1) as f64, unmeasured))
             .collect();
         let probe_threads = (threads / k).max(1);
-        std::thread::scope(|scope| {
-            for slot in round.iter_mut() {
-                let ebn0_db = slot.0;
-                let classify = &classify;
-                scope.spawn(move || {
-                    slot.1 = Some(classify(ebn0_db, probe_threads));
-                });
-            }
-        });
-        let round: Vec<(f64, BerEstimate)> = round
-            .into_iter()
-            .map(|(e, est)| (e, est.expect("probe thread completed")))
-            .collect();
+        par::for_each_chunk(
+            &mut vec![(); threads.min(k)],
+            &mut round,
+            1,
+            |_, _, probe| {
+                probe[0].1 = classify(probe[0].0, probe_threads);
+            },
+        );
         for &(ebn0_db, est) in &round {
             report.record(ebn0_db, est);
         }

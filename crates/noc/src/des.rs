@@ -48,8 +48,8 @@ use traffic::TrafficKind;
 pub use engine::Engine;
 pub use fault::{ArqConfig, BurstModel, FaultConfig, LinkErrorModel};
 pub use sweep::{
-    sweep, sweep_engine, sweep_engine_with_threads, sweep_policies, sweep_serial,
-    sweep_with_threads, RatePoint, SweepConfig, SweepResult,
+    sweep, sweep_engine, sweep_engine_with_threads, sweep_policies, sweep_with_threads, RatePoint,
+    SweepConfig, SweepResult,
 };
 
 /// Service-time distribution of the link servers.

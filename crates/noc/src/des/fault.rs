@@ -39,6 +39,7 @@
 
 use crate::topology::Topology;
 use serde::{Deserialize, Serialize};
+use wi_num::rng::mix;
 
 /// Salt for the stuck-link selection hash.
 const STUCK_SALT: u64 = 0x57C4_BAD0_57C4_BAD0;
@@ -47,17 +48,14 @@ const BURST_SALT: u64 = 0xB1A5_7000_B1A5_7001;
 /// Salt for the per-attempt corruption hash.
 const CORRUPT_SALT: u64 = 0xC0FF_EE00_BAD0_B175;
 
-/// SplitMix64-style finalizer mapping arbitrary identifiers to a unit
-/// float in `[0, 1)` — the fault layer's no-RNG decision primitive
-/// (same mixing as [`crate::routing::route_choice`]).
+/// Salted SplitMix64 hash ([`mix`]) mapping arbitrary identifiers to a
+/// unit float in `[0, 1)` — the fault layer's no-RNG decision primitive
+/// (same finalizer as [`crate::routing::route_choice`]).
 fn unit_hash(seed: u64, a: u64, b: u64, c: u64) -> f64 {
-    let mut z = seed
+    let z = mix(seed
         .wrapping_add(a.wrapping_mul(0x9E37_79B9_7F4A_7C15))
         .wrapping_add(b.wrapping_mul(0xD1B5_4A32_D192_ED03))
-        .wrapping_add(c.wrapping_mul(0xA24B_AED4_963E_E407));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
+        .wrapping_add(c.wrapping_mul(0xA24B_AED4_963E_E407)));
     (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
@@ -362,6 +360,35 @@ impl FaultConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn splitmix_hashes_match_golden_values() {
+        // Every pure-hash decision shares `wi_num::rng::mix`, so the
+        // engine and reference oracles would drift together if it ever
+        // changed; these values pin each caller's salting and the
+        // finalizer itself.
+        use crate::routing::{rlb_intermediate, route_choice, valiant_intermediate};
+        use wi_num::rng::derive_seed;
+        assert_eq!(derive_seed(0, 0), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(derive_seed(0xBE5, 7), 0x5d20_51c2_9241_eb19);
+        assert_eq!(derive_seed(u64::MAX, u64::MAX), 0xb4d0_55fc_f2cb_bd7b);
+        assert_eq!(unit_hash(0, 0, 0, 0).to_bits(), 0);
+        assert_eq!(unit_hash(42, 1, 2, 3).to_bits(), 0x3fec_fdf1_2d34_20b7);
+        assert_eq!(
+            unit_hash(u64::MAX, 5, 6, 7).to_bits(),
+            0x3fe8_1825_06d4_f20b
+        );
+        assert_eq!(route_choice(1, 2, 3, 4, 5), 3);
+        assert_eq!(route_choice(0xDEAD, 99, 63, 0, 7), 1);
+        assert_eq!(route_choice(u64::MAX, u64::MAX, 511, 17, 1000), 403);
+        assert_eq!(valiant_intermediate(64, 3, 17, 0), 19);
+        assert_eq!(valiant_intermediate(512, 511, 0, 3), 389);
+        assert_eq!(valiant_intermediate(7, 1, 2, 1), 6);
+        assert_eq!(rlb_intermediate([0, 0, 0], [7, 7, 7], 0), [7, 2, 2]);
+        assert_eq!(rlb_intermediate([1, 5, 2], [6, 0, 2], 2), [4, 0, 2]);
+        assert_eq!(rlb_intermediate([3, 3, 3], [0, 7, 1], 1), [3, 6, 1]);
+        assert_eq!(rlb_intermediate([0, 0, 0], [31, 31, 31], 5), [25, 13, 24]);
+    }
 
     #[test]
     fn unit_hash_is_deterministic_and_in_range() {

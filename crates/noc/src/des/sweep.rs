@@ -6,12 +6,12 @@
 //! replications**, and the saturation knee of the resulting curve. Every
 //! replication derives its own seed from the master seed via
 //! [`derive_seed`] (stream = flat task index), so the work can be fanned
-//! out across scoped threads in any order and at any thread count while
+//! out across threads in any order and at any thread count while
 //! staying **bit-identical** to the serial path — the same contract
-//! `wi_ldpc::ber::simulate_ber` keeps for Monte-Carlo BER. The
-//! fan-out uses `std::thread::scope` directly (no `rayon` in the build
-//! environment); each worker owns one reusable [`Engine`], so the only
-//! per-task cost beyond simulation is writing one [`DesResult`] slot.
+//! `wi_ldpc::ber::simulate_ber` keeps for Monte-Carlo BER. Workers claim
+//! replications one at a time through [`wi_num::par`], each with one
+//! reusable [`Engine`], so the only per-task cost beyond simulation is
+//! writing one [`DesResult`] slot.
 //!
 //! The **saturation knee** is the first rate whose point either failed a
 //! majority of its replications (event-limit overruns — the DES symptom
@@ -26,6 +26,7 @@ use super::{DesConfig, DesResult};
 use crate::routing::RoutingKind;
 use crate::topology::Topology;
 use serde::{Deserialize, Serialize};
+use wi_num::par;
 use wi_num::rng::derive_seed;
 use wi_num::stats::Running;
 
@@ -89,25 +90,9 @@ pub struct SweepResult {
     pub saturation_knee: Option<f64>,
 }
 
-/// Threads used by the auto-parallel entry point: the `WI_TEST_THREADS`
-/// environment variable when set to a positive integer (the CI matrix
-/// runs the suite at 1 and 4 to exercise the thread-invariance contract
-/// end to end), otherwise all available cores.
-fn auto_threads() -> usize {
-    if let Ok(s) = std::env::var("WI_TEST_THREADS") {
-        if let Ok(n) = s.parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 /// Runs the sweep, fanning replications out over all available cores.
-/// Bit-identical to [`sweep_serial`] at the same configuration.
+/// Bit-identical to `sweep_with_threads(topo, config, 1)` at the same
+/// configuration.
 ///
 /// # Example
 ///
@@ -136,12 +121,7 @@ fn auto_threads() -> usize {
 ///
 /// See [`sweep_with_threads`].
 pub fn sweep(topo: &Topology, config: &SweepConfig) -> SweepResult {
-    sweep_with_threads(topo, config, auto_threads())
-}
-
-/// Serial reference path of [`sweep`] (single thread, no fan-out).
-pub fn sweep_serial(topo: &Topology, config: &SweepConfig) -> SweepResult {
-    sweep_with_threads(topo, config, 1)
+    sweep_with_threads(topo, config, par::threads())
 }
 
 /// [`sweep`] with an explicit worker-thread count.
@@ -168,7 +148,7 @@ pub fn sweep_with_threads(topo: &Topology, config: &SweepConfig, threads: usize)
 ///
 /// See [`sweep_engine_with_threads`].
 pub fn sweep_engine(proto: &Engine, config: &SweepConfig) -> SweepResult {
-    sweep_engine_with_threads(proto, config, auto_threads())
+    sweep_engine_with_threads(proto, config, par::threads())
 }
 
 /// [`sweep_engine`] with an explicit worker-thread count. Bit-identical
@@ -216,26 +196,13 @@ pub fn sweep_engine_with_threads(
         .collect();
 
     let mut results: Vec<Option<DesResult>> = vec![None; tasks.len()];
-    let threads = threads.clamp(1, tasks.len());
-    if threads <= 1 {
-        let mut engine = proto.clone();
-        for (slot, cfg) in results.iter_mut().zip(&tasks) {
-            *slot = Some(engine.run(cfg));
-        }
-    } else {
-        let per_worker = tasks.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (slots, cfgs) in results.chunks_mut(per_worker).zip(tasks.chunks(per_worker)) {
-                scope.spawn(move || {
-                    // One engine per worker for the whole sweep.
-                    let mut engine = proto.clone();
-                    for (slot, cfg) in slots.iter_mut().zip(cfgs) {
-                        *slot = Some(engine.run(cfg));
-                    }
-                });
-            }
-        });
-    }
+    // One engine per worker for the whole sweep.
+    let mut engines: Vec<Engine> = (0..threads.clamp(1, tasks.len()))
+        .map(|_| proto.clone())
+        .collect();
+    par::for_each_chunk(&mut engines, &mut results, 1, |engine, i, slot| {
+        slot[0] = Some(engine.run(&tasks[i]));
+    });
 
     // Serial fold in task order — the thread count cannot affect anything
     // from here on.
@@ -333,7 +300,7 @@ mod tests {
     fn parallel_sweep_matches_serial_bit_for_bit() {
         let topo = Topology::mesh2d(4, 4);
         let cfg = SweepConfig::new(vec![0.05, 0.2, 0.5, 0.9], 3, quick_base(0x5EED));
-        let serial = sweep_serial(&topo, &cfg);
+        let serial = sweep_with_threads(&topo, &cfg, 1);
         for threads in [2, 3, 8, 64] {
             let par = sweep_with_threads(&topo, &cfg, threads);
             assert_eq!(serial, par, "thread count {threads} changed the sweep");
@@ -413,7 +380,7 @@ mod tests {
                 ..quick_base(0xFA17)
             },
         );
-        let serial = sweep_serial(&topo, &cfg);
+        let serial = sweep_with_threads(&topo, &cfg, 1);
         assert!(
             serial.points.iter().all(|p| p.retries > 0),
             "faulty sweep must record retries"

@@ -46,6 +46,7 @@
 
 use crate::topology::Topology;
 use serde::{Deserialize, Serialize};
+use wi_num::rng::mix;
 
 /// The six dimension-order permutations of a 3D mesh, as visit orders over
 /// the coordinate axes. Order 0 is X-then-Y-then-Z — plain dimension-order
@@ -246,12 +247,9 @@ pub fn route_choice(seed: u64, packet: u64, src: usize, dst: usize, choices: usi
     if choices <= 1 {
         return 0;
     }
-    let mut z = seed
+    let z = mix(seed
         .wrapping_add(packet.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(((src as u64) << 32) ^ dst as u64);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
+        .wrapping_add(((src as u64) << 32) ^ dst as u64));
     (z % choices as u64) as usize
 }
 
@@ -259,12 +257,9 @@ pub fn route_choice(seed: u64, packet: u64, src: usize, dst: usize, choices: usi
 /// `(src, dst)` — a fixed-salt hash, so the whole table is reproducible
 /// from the topology alone.
 pub fn valiant_intermediate(num_routers: usize, src: usize, dst: usize, choice: usize) -> usize {
-    let mut z = VALIANT_SALT
+    let z = mix(VALIANT_SALT
         .wrapping_add((choice as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(((src as u64) << 32) ^ dst as u64);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
+        .wrapping_add(((src as u64) << 32) ^ dst as u64));
     (z % num_routers as u64) as usize
 }
 
@@ -284,13 +279,10 @@ pub fn rlb_intermediate(src: [usize; 3], dst: [usize; 3], choice: usize) -> [usi
         mid[dim] = if lo == hi {
             lo
         } else {
-            let mut z = RLB_SALT
+            let z = mix(RLB_SALT
                 .wrapping_add((choice as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
                 .wrapping_add(pack(src).rotate_left(17) ^ pack(dst))
-                .wrapping_add((dim as u64) << 61);
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^= z >> 31;
+                .wrapping_add((dim as u64) << 61));
             lo + (z % (hi - lo + 1) as u64) as usize
         };
     }

@@ -14,7 +14,9 @@
 //!   4-ASK capacity curve).
 //! * [`optimize`] — a dependency-free Nelder–Mead simplex optimizer (ISI
 //!   filter design).
-//! * [`rng`] — Box–Muller Gaussian sampling on top of any [`rand::Rng`].
+//! * [`rng`] — Box–Muller Gaussian sampling on top of any [`rand::Rng`],
+//!   seed derivation and the shared SplitMix64 finalizer.
+//! * [`par`] — the ordered parallel fan-out and the one thread-count source.
 //! * [`db`] — decibel/linear/dBm conversions used throughout the link budget.
 //! * [`fit`] — ordinary least squares line fitting (pathloss exponent fits).
 //! * [`window`] — spectral windows for impulse-response estimation.
@@ -35,6 +37,7 @@ pub mod fft;
 pub mod fit;
 pub mod integrate;
 pub mod optimize;
+pub mod par;
 pub mod rng;
 pub mod special;
 pub mod stats;

@@ -68,7 +68,13 @@ pub fn seeded_rng(seed: u64) -> StdRng {
 /// SplitMix64-style mixing, so that parallel experiment arms get independent
 /// streams from one master seed.
 pub fn derive_seed(base: u64, stream: u64) -> u64 {
-    let mut z = base.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(stream.wrapping_add(1)));
+    mix(base.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(stream.wrapping_add(1))))
+}
+
+/// The SplitMix64 finalizer (three xor-shift/multiply steps) behind
+/// [`derive_seed`] and every pure-hash decision in the workspace, which
+/// differ only in how they salt and combine their inputs beforehand.
+pub fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

@@ -167,11 +167,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     let spec = load_spec(opts.require("spec")?, opts.has("quick"))?;
     let mut store = open_store(&opts)?;
     let run_opts = RunOptions {
-        threads: opts.parsed("threads")?.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }),
+        threads: opts.parsed("threads")?.unwrap_or_else(wi_num::par::threads),
         max_cells: opts.parsed("max-cells")?,
     };
     let summary = run(&spec, &mut store, &run_opts).map_err(|e| e.to_string())?;

@@ -8,8 +8,8 @@
 //!   eval)` — inner Monte-Carlo runs use the `derive_seed` discipline
 //!   and are thread-invariant, and the executor pins them to one inner
 //!   thread per cell (parallelism comes from cell fan-out);
-//! * workers claim cells from an atomic counter — *which* worker runs a
-//!   cell affects nothing but wall-clock;
+//! * workers claim cells one at a time through [`wi_num::par`] —
+//!   *which* worker runs a cell affects nothing but wall-clock;
 //! * [`fold`] renders exclusively from stored records in expansion
 //!   order, so the folded output is byte-identical at any thread count
 //!   and any interruption/resume schedule (the resume proptest kills a
@@ -20,13 +20,13 @@ use crate::json::{obj, Json};
 use crate::spec::{cell_key, coding_target_hash, Cell, EvalSpec, SweepSpec};
 use crate::store::{CellKey, CellRecord, ResultStore};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use wi_ldpc::ber::{
     search_required_ebn0_with_threads, BerSimOptions, CachedBerTarget, CoupledBerTarget,
     SearchOutcome, SearchReport,
 };
 use wi_noc::des::{sweep_with_threads, DesConfig, SweepConfig, SweepResult};
+use wi_num::par;
 
 /// Executor knobs.
 #[derive(Clone, Copy, Debug)]
@@ -41,9 +41,7 @@ pub struct RunOptions {
 impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            threads: par::threads(),
             max_cells: None,
         }
     }
@@ -145,31 +143,27 @@ pub fn run(
         Ok(cache)
     };
 
-    let next = AtomicUsize::new(0);
+    // Each record goes to the store as soon as its cell finishes (so the
+    // fan-out's per-cell slots carry nothing); once the sink holds an
+    // error, every later claim does nothing.
     let sink: Mutex<(&mut ResultStore, Option<std::io::Error>)> = Mutex::new((store, None));
-    let threads = opts.threads.max(1).min(batch.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(cell) = batch.get(i) else { break };
-                let record = match evaluate(cell, &spec.eval, &cache_for) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        let mut sink = sink.lock().unwrap();
-                        sink.1.get_or_insert(e);
-                        break;
-                    }
-                };
-                let mut sink = sink.lock().unwrap();
-                if let Err(e) = sink.0.put(record) {
-                    sink.1.get_or_insert(e);
-                    break;
-                }
-            });
-        }
-    });
-    if let Some(e) = sink.into_inner().unwrap().1 {
+    let lock_sink = || sink.lock().expect("no store write panicked");
+    par::for_each_chunk(
+        &mut vec![(); opts.threads.max(1)],
+        &mut vec![(); batch.len()],
+        1,
+        |_, i, _| {
+            if lock_sink().1.is_some() {
+                return;
+            }
+            let stored = evaluate(batch[i], &spec.eval, &cache_for)
+                .and_then(|record| lock_sink().0.put(record));
+            if let Err(e) = stored {
+                lock_sink().1.get_or_insert(e);
+            }
+        },
+    );
+    if let Some(e) = sink.into_inner().expect("no store write panicked").1 {
         return Err(RunError::Io(e));
     }
 

@@ -133,11 +133,13 @@ impl Json {
     }
 
     /// Parses a complete JSON document (trailing whitespace allowed,
-    /// trailing garbage rejected).
+    /// trailing garbage rejected). Arrays and objects nested past a
+    /// fixed depth cap are rejected, so hostile input cannot overflow the
+    /// stack.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -207,8 +209,16 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Deepest array/object nesting [`Json::parse`] accepts — far above the
+/// few levels of any spec, store record or bench file, far below what
+/// the recursive-descent parser's stack can take.
+const MAX_DEPTH: usize = 128;
+
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth >= MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos));
+    }
     match bytes.get(*pos) {
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
@@ -223,7 +233,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -248,7 +258,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 members.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -389,5 +399,16 @@ mod tests {
         assert!(Json::parse("{\"a\":1} x").is_err());
         assert!(Json::parse("{\"a\":}").is_err());
         assert!(Json::parse("").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for open in ["[", "{\"a\":"] {
+            let err = Json::parse(&open.repeat(1_000_000)).unwrap_err();
+            assert!(err.contains("nesting deeper than"), "{err}");
+        }
+        // The cap itself still parses.
+        let text = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert_eq!(Json::parse(&text).unwrap().to_string(), text);
     }
 }
