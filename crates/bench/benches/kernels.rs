@@ -8,11 +8,9 @@ use wi_channel::geometry::BoardLink;
 use wi_channel::rays::TwoBoardScene;
 use wi_channel::vna::SyntheticVna;
 use wi_ldpc::ber::{ebn0_db_to_sigma, simulate_ber_with_threads, BerSimOptions, BlockBerTarget};
-use wi_ldpc::decoder::{awgn_llrs, reference, BpConfig, BpDecoder, CheckRule, DecoderWorkspace};
-use wi_ldpc::kernel::{
-    min_sum_scalar, min_sum_unrolled8, sum_product_exact, sum_product_table, PhiTable,
-};
-use wi_ldpc::window::{CoupledCode, WindowDecoder, WindowWorkspace};
+use wi_ldpc::decoder::{awgn_llrs, reference, BpConfig, BpDecoder, CheckRule};
+use wi_ldpc::kernel::{sum_product_exact_batch, sum_product_table_batch, PhiTable};
+use wi_ldpc::window::{CoupledCode, WindowDecoder};
 use wi_ldpc::{BatchWorkspace, LdpcCode, WindowBatchWorkspace};
 use wi_noc::analytic::{AnalyticModel, RouterParams};
 use wi_noc::des::{simulate, DesConfig};
@@ -99,7 +97,8 @@ fn bench_ldpc(c: &mut Criterion) {
     let llr = awgn_llrs(&rx, sigma);
 
     // The flat CSR engine (fresh workspace per call) vs the retained naive
-    // reference vs a reused workspace — the speedup the engine exists for.
+    // reference vs a reused one-lane workspace — the speedup the engine
+    // exists for.
     let decoder = BpDecoder::new(&code, BpConfig::default());
     c.bench_function("bp_decode_n200", |b| {
         b.iter(|| decoder.decode(black_box(&llr)))
@@ -107,9 +106,13 @@ fn bench_ldpc(c: &mut Criterion) {
     c.bench_function("bp_decode_naive_n200", |b| {
         b.iter(|| reference::decode(&code, BpConfig::default(), black_box(&llr)))
     });
-    let mut ws = DecoderWorkspace::new(&code);
+    let mut ws = BatchWorkspace::new(&code, 1);
+    let mut decode_one = |decoder: &BpDecoder<'_>, llr: &[f64]| {
+        ws.set_lane_llr(0, llr);
+        decoder.decode_batch(&mut ws);
+    };
     c.bench_function("bp_decode_workspace_n200", |b| {
-        b.iter(|| decoder.decode_in_place(&mut ws, black_box(&llr)))
+        b.iter(|| decode_one(&decoder, black_box(&llr)))
     });
     let minsum_config = BpConfig {
         check_rule: CheckRule::min_sum(),
@@ -117,7 +120,7 @@ fn bench_ldpc(c: &mut Criterion) {
     };
     let minsum = BpDecoder::new(&code, minsum_config);
     c.bench_function("bp_decode_minsum_n200", |b| {
-        b.iter(|| minsum.decode_in_place(&mut ws, black_box(&llr)))
+        b.iter(|| decode_one(&minsum, black_box(&llr)))
     });
     c.bench_function("bp_decode_naive_minsum_n200", |b| {
         b.iter(|| reference::decode(&code, minsum_config, black_box(&llr)))
@@ -131,33 +134,26 @@ fn bench_ldpc(c: &mut Criterion) {
     };
     let sptable = BpDecoder::new(&code, sptable_config);
     c.bench_function("bp_decode_sptable_n200", |b| {
-        b.iter(|| sptable.decode_in_place(&mut ws, black_box(&llr)))
+        b.iter(|| decode_one(&sptable, black_box(&llr)))
     });
     c.bench_function("bp_decode_naive_sptable_n200", |b| {
         b.iter(|| reference::decode(&code, sptable_config, black_box(&llr)))
     });
 
     // Check-kernel microbenches over the full check range of the n = 200
-    // code (all checks degree 8): the unrolled min-sum path vs the scalar
-    // two-min tracker, and the φ-table sum-product vs the exact
-    // tanh/atanh kernel.
+    // code (all checks degree 8), one lane: the φ-table sum-product vs
+    // the exact tanh/atanh kernel.
     let offsets = code.check_edge_offsets();
     let n_checks = code.num_checks();
-    let v2c: Vec<f64> = (0..code.num_edges())
-        .map(|_| gauss.sample_with(&mut rng, 0.0, 4.0))
+    let v2c: Vec<[f64; 1]> = (0..code.num_edges())
+        .map(|_| [gauss.sample_with(&mut rng, 0.0, 4.0)])
         .collect();
-    let mut c2v = vec![0.0f64; code.num_edges()];
-    let mut scratch = vec![0.0f64; code.max_check_degree()];
-    let mut fwd = vec![0.0f64; code.max_check_degree() + 1];
-    c.bench_function("check_minsum_deg8_scalar", |b| {
-        b.iter(|| min_sum_scalar(offsets, 0, n_checks, 0.8, black_box(&v2c), &mut c2v))
-    });
-    c.bench_function("check_minsum_deg8_unrolled", |b| {
-        b.iter(|| min_sum_unrolled8(offsets, 0, n_checks, 0.8, black_box(&v2c), &mut c2v))
-    });
+    let mut c2v = vec![[0.0f64]; code.num_edges()];
+    let mut scratch = vec![[0.0f64]; code.max_check_degree()];
+    let mut fwd = vec![[0.0f64]; code.max_check_degree() + 1];
     c.bench_function("check_sumproduct_exact_deg8", |b| {
         b.iter(|| {
-            sum_product_exact(
+            sum_product_exact_batch(
                 offsets,
                 0,
                 n_checks,
@@ -171,7 +167,7 @@ fn bench_ldpc(c: &mut Criterion) {
     let phi = PhiTable::new(7);
     c.bench_function("check_sumproduct_table_deg8", |b| {
         b.iter(|| {
-            sum_product_table(
+            sum_product_table_batch(
                 offsets,
                 0,
                 n_checks,
@@ -183,10 +179,10 @@ fn bench_ldpc(c: &mut Criterion) {
         })
     });
 
-    // Inter-frame batched BP: 4 and 8 frames decoded in lockstep through
-    // the lane-array kernels (bit-identical per frame to the scalar
-    // decoder). Divide by the lane count for the per-frame cost the BER
-    // harness actually pays.
+    // Inter-frame batched BP: 8 frames one lane at a time vs 4 and 8
+    // frames decoded in lockstep through the lane-array kernels
+    // (bit-identical per frame). Divide by the lane count for the
+    // per-frame cost the BER harness actually pays.
     let frames: Vec<Vec<f64>> = (0..8)
         .map(|lane| {
             let mut rng = seeded_rng(100 + lane);
@@ -200,7 +196,7 @@ fn bench_ldpc(c: &mut Criterion) {
     c.bench_function("bp_decode_minsum_8frames_n200", |b| {
         b.iter(|| {
             for llr in &frames {
-                minsum.decode_in_place(&mut ws, black_box(llr));
+                decode_one(&minsum, black_box(llr));
             }
         })
     });
@@ -225,17 +221,21 @@ fn bench_ldpc(c: &mut Criterion) {
     c.bench_function("window_decode_n25_l10", |b| {
         b.iter(|| wd.decode(black_box(&cc), black_box(&llr_cc)))
     });
-    let mut wws = WindowWorkspace::new(cc.code());
+    let mut wws = WindowBatchWorkspace::new(cc.code(), 1);
+    let mut window_one = |wd: &WindowDecoder, llr: &[f64]| {
+        wws.set_lane_llr(0, llr);
+        wd.decode_batch(&mut wws, &cc);
+    };
     c.bench_function("window_decode_workspace_n25_l10", |b| {
-        b.iter(|| wd.decode_in_place(&mut wws, black_box(&cc), black_box(&llr_cc)))
+        b.iter(|| window_one(&wd, black_box(&llr_cc)))
     });
     // Batched window decoding: 8 frames slide the window in lockstep
     // (fixed iteration schedule — no masking needed; divide by 8 for the
     // per-frame cost). Min-sum is the rule the batch path exists to
-    // accelerate, so the scalar/batched pair is measured on it.
+    // accelerate, so the one-lane/8-lane pair is measured on it.
     let wd_ms = WindowDecoder::new(4, 20).with_rule(CheckRule::min_sum());
     c.bench_function("window_decode_minsum_n25_l10", |b| {
-        b.iter(|| wd_ms.decode_in_place(&mut wws, black_box(&cc), black_box(&llr_cc)))
+        b.iter(|| window_one(&wd_ms, black_box(&llr_cc)))
     });
     let cc_frames: Vec<Vec<f64>> = (0..8)
         .map(|lane| {
@@ -278,16 +278,16 @@ fn bench_ber(c: &mut Criterion) {
     });
 
     // The whole-probe payoff of inter-frame batching: one fixed-budget
-    // BER evaluation with the scalar (batch-1) target vs the full-width
+    // BER evaluation with the one-lane (batch-1) target vs the full-width
     // batched default, min-sum (the rule the batch path accelerates).
     // Results are bit-identical; the ratio is the BER-harness speedup.
     let minsum_config = BpConfig {
         check_rule: CheckRule::min_sum(),
         ..BpConfig::default()
     };
-    let scalar_target = BlockBerTarget::new(&code, minsum_config, 0.5).with_batch(1);
+    let single_target = BlockBerTarget::new(&code, minsum_config, 0.5).with_batch(1);
     c.bench_function("ber_eval_scalar_n100_24f", |b| {
-        b.iter(|| simulate_ber_with_threads(&scalar_target, 2.5, black_box(&opts), 1))
+        b.iter(|| simulate_ber_with_threads(&single_target, 2.5, black_box(&opts), 1))
     });
     let batched_target = BlockBerTarget::new(&code, minsum_config, 0.5).with_batch(8);
     c.bench_function("ber_eval_batch_vs_scalar", |b| {

@@ -269,8 +269,8 @@ mod tests {
     fn fer_curve_is_invariant_under_batch_width() {
         // The purity contract ("frame f is a function of (seed, f)") made
         // the FER cache reusable; inter-frame batching must not bend it.
-        // The batch-1 target is the pre-batching scalar path, so equality
-        // here is the byte-identical pre/post-batching regression pin.
+        // Every width runs the same lane engine, so equality here pins
+        // that the lane count never leaks into a frame's result.
         let code = CoupledCode::paper_cc(10, 8, 0xC051);
         let decoder = wi_ldpc::window::WindowDecoder::new(3, 8);
         let opts = BerSimOptions {
@@ -280,7 +280,7 @@ mod tests {
             seed: 0xC051,
         };
         let grid = [0.0, 3.0, 6.0];
-        let scalar = FerCurve::measure(
+        let single = FerCurve::measure(
             &CoupledBerTarget::new(&code, decoder).with_batch(1),
             &grid,
             &opts,
@@ -291,7 +291,7 @@ mod tests {
                 &grid,
                 &opts,
             );
-            assert_eq!(scalar, batched, "batch width {batch} changed the curve");
+            assert_eq!(single, batched, "batch width {batch} changed the curve");
         }
     }
 

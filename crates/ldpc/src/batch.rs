@@ -1,4 +1,5 @@
-//! Inter-frame batched decoding: several frames in SIMD lockstep.
+//! Inter-frame batched decoding: several frames in SIMD lockstep — the
+//! crate's only BP and window decoding engine.
 //!
 //! Every Monte-Carlo BER probe decodes thousands of *independent* frames
 //! through the same code, rule and iteration budget. This module decodes
@@ -6,38 +7,41 @@
 //! layout — `[edge][lane]`, lane = frame — so the lane-array kernels in
 //! [`crate::kernel`] (`min_sum_batch`, `sum_product_table_batch`,
 //! `sum_product_exact_batch`) present LLVM with uniform, branch-free
-//! inner loops over `[f64; L]` that auto-vectorize on stable rust.
+//! inner loops over `[f64; L]` that auto-vectorize on stable rust. A
+//! single frame is the one-lane instance: [`BpDecoder::decode`] and
+//! [`WindowDecoder::decode`] are one-lane batches.
 //!
 //! # The bit-identity contract
 //!
-//! Each lane of a batched decode is **bit-identical** to a scalar decode
-//! of that frame ([`BpDecoder::decode_in_place`] /
-//! [`WindowDecoder::decode_in_place`]), under all four `CheckRule`
-//! configurations, pinned by `tests/batch_equivalence.rs`. Two rules make
-//! this hold:
+//! Each lane of a batched decode is **bit-identical** to the naive oracle
+//! run on that frame ([`crate::decoder::reference`] /
+//! [`crate::window::reference`]), under all four `CheckRule`
+//! configurations, at every lane width — pinned by
+//! `tests/batch_equivalence.rs`. Two rules make this hold:
 //!
-//! * **Lane masking** ([`BpDecoder::decode_batch`]): the scalar decoder
-//!   stops at convergence, so lanes stop at different iterations. In the
-//!   flooding schedule everything *after* the check update is a pure
-//!   function of `(channel, c2v)`; a converged lane therefore only needs
-//!   its posterior/hard **writes** masked (a conditional select of the
-//!   old value — never an arithmetic blend, which would rewrite `-0.0`
-//!   to `+0.0`). The check kernels themselves run unmasked: a frozen
-//!   lane's messages keep updating but are never observed again.
+//! * **Lane masking** ([`BpDecoder::decode_batch`]): BP stops a frame at
+//!   convergence, so lanes stop at different iterations. In the flooding
+//!   schedule everything *after* the check update is a pure function of
+//!   `(channel, c2v)`; a converged lane therefore only needs its
+//!   posterior/hard **writes** masked (a conditional select of the old
+//!   value — never an arithmetic blend, which would rewrite `-0.0` to
+//!   `+0.0`). The check kernels themselves run unmasked: a frozen lane's
+//!   messages keep updating but are never observed again.
 //! * **No masking needed** ([`WindowDecoder::decode_batch`]): the window
 //!   decoder runs a *fixed* iteration count with a lane-independent
 //!   schedule (activation, window sweep, decide-and-pin are structurally
 //!   identical across lanes), so a straight lane-wise transcription of
-//!   the scalar operation sequence is already bit-identical.
+//!   the reference operation sequence is already bit-identical.
 //!
 //! The BER layer ([`crate::ber`]) drives these decoders through
-//! `BerTarget::eval_frames_each` in chunks of the target's batch width
-//! with a scalar ragged tail, so search strategies, thread fan-out and
-//! the co-sim FER cache inherit the speedup with unchanged results.
+//! `BerTarget::eval_frames_each` in chunks of the target's batch width,
+//! with a ragged tail decoded at narrower power-of-two widths, so search
+//! strategies, thread fan-out and the co-sim FER cache inherit the
+//! speedup with unchanged results.
 
 use crate::code::LdpcCode;
 use crate::decoder::{
-    update_checks_batch, BpDecoder, CheckRule, DecodeStatus, DecoderWorkspace, LLR_CLAMP,
+    update_checks_batch, BpDecoder, CheckRule, DecodeResult, DecodeStatus, LLR_CLAMP,
 };
 use crate::kernel::{
     clamp_batch, gather_clamp_batch, hard_decisions_batch, masked_commit_batch, scatter_add_batch,
@@ -128,11 +132,10 @@ pub struct BatchWorkspace {
     fwd: Vec<f64>,
     /// φ lookup table (built lazily, only for the table rule).
     phi: PhiTable,
-    /// Scalar decoder workspace for the straggler bail-out.
-    scalar: DecoderWorkspace,
-    /// One lane's channel LLRs, staged for a scalar straggler decode.
-    lane_llr: Vec<f64>,
-    /// Iterations each lane ran (the scalar decoder's count).
+    /// One-lane workspace the straggler bail-out re-decodes lanes in
+    /// (built on the first bail-out).
+    straggler: Option<Box<BatchWorkspace>>,
+    /// Iterations each lane ran.
     iterations: [usize; MAX_LANES],
     /// Lanes whose final syndrome was zero, as a bitmask.
     converged: u8,
@@ -173,8 +176,6 @@ impl BatchWorkspace {
         self.hard.resize(n, 0);
         self.scratch.resize(d * lanes, 0.0);
         self.fwd.resize((d + 1) * lanes, 1.0);
-        self.scalar.ensure(code);
-        self.lane_llr.resize(n, 0.0);
     }
 
     /// The lane count the workspace is sized for.
@@ -219,7 +220,7 @@ impl BatchWorkspace {
     }
 
     /// Iteration count and convergence flag of `lane`'s decode — exactly
-    /// what the scalar decoder would have returned for that frame.
+    /// what a single-frame decode of that lane returns.
     pub fn status(&self, lane: usize) -> DecodeStatus {
         assert!(lane < self.lanes, "lane {lane} of {}", self.lanes);
         DecodeStatus {
@@ -227,16 +228,49 @@ impl BatchWorkspace {
             converged: (self.converged >> lane) & 1 == 1,
         }
     }
+
+    /// `lane`'s decisions, posteriors and status as an owned
+    /// [`DecodeResult`] (allocates the two output vectors).
+    pub fn lane_result(&self, lane: usize) -> DecodeResult {
+        let status = self.status(lane);
+        DecodeResult {
+            hard: (0..self.n).map(|v| self.hard_bit(v, lane)).collect(),
+            posterior: (0..self.n).map(|v| self.posterior_at(v, lane)).collect(),
+            iterations: status.iterations,
+            converged: status.converged,
+        }
+    }
 }
 
 impl BpDecoder<'_> {
     /// Decodes the `ws.lanes()` frames previously loaded with
     /// [`BatchWorkspace::set_lane_llr`] in SIMD lockstep — zero heap
-    /// allocation once the workspace is sized. Each lane's
+    /// allocation once the workspace is sized (the first straggler
+    /// bail-out builds a one-lane side workspace). Each lane's
     /// posterior/hard/status is bit-identical to
-    /// [`decode_in_place`](BpDecoder::decode_in_place) on that lane's
-    /// LLRs: converged lanes freeze at exactly the iteration the scalar
-    /// decoder would stop (see the module docs for the masking rule).
+    /// [`reference::decode`](crate::decoder::reference::decode) on that
+    /// lane's LLRs: converged lanes freeze at exactly the iteration a
+    /// single-frame decode stops (see the module docs for the masking
+    /// rule).
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use wi_ldpc::{BatchWorkspace, BpConfig, BpDecoder, CheckRule, LdpcCode};
+    ///
+    /// let code = LdpcCode::paper_block(10, 1);
+    /// let config = BpConfig {
+    ///     check_rule: CheckRule::sum_product_table(),
+    ///     ..BpConfig::default()
+    /// };
+    /// let decoder = BpDecoder::new(&code, config);
+    /// let mut ws = BatchWorkspace::new(&code, 1);
+    /// // Clean all-zero codeword: positive LLRs favour bit 0 everywhere.
+    /// ws.set_lane_llr(0, &vec![4.0; code.len()]);
+    /// decoder.decode_batch(&mut ws);
+    /// assert!(ws.status(0).converged);
+    /// assert_eq!(ws.lane_error_count(0), 0);
+    /// ```
     ///
     /// # Panics
     ///
@@ -249,7 +283,32 @@ impl BpDecoder<'_> {
         if let CheckRule::SumProductTable { bits } = self.config().check_rule {
             ws.phi.ensure(bits);
         }
-        dispatch_lanes!(lanes, bp_decode_batch_impl(self, ws));
+        let bailed = dispatch_lanes!(lanes, bp_decode_batch_impl(self, ws));
+        if bailed != 0 {
+            self.finish_stragglers(ws, bailed);
+        }
+    }
+
+    /// Straggler bail-out: re-decodes each lane in `bailed` from scratch
+    /// as a one-lane batch and writes its result back into `ws`. A
+    /// one-lane decode never bails, so this recurses at most once.
+    fn finish_stragglers(&self, ws: &mut BatchWorkspace, bailed: u8) {
+        let lanes = ws.lanes;
+        let mut single = ws.straggler.take().unwrap_or_default();
+        single.ensure(self.code(), 1);
+        for lane in (0..lanes).filter(|&lane| (bailed >> lane) & 1 == 1) {
+            for (v, l) in single.llr.iter_mut().enumerate() {
+                *l = ws.llr[v * lanes + lane];
+            }
+            self.decode_batch(&mut single);
+            for (v, (&p, &h)) in single.posterior.iter().zip(&single.hard).enumerate() {
+                ws.posterior[v * lanes + lane] = p;
+                ws.hard[v] = (ws.hard[v] & !(1 << lane)) | (h << lane);
+            }
+            ws.iterations[lane] = single.iterations[0];
+            ws.converged = (ws.converged & !(1 << lane)) | (single.converged << lane);
+        }
+        ws.straggler = Some(single);
     }
 }
 
@@ -270,10 +329,10 @@ fn syndrome_batch(offsets: &[u32], edge_var: &[u32], n_checks: usize, hard: &[u8
     unsat
 }
 
-/// Monomorphized batched BP decode: the scalar
-/// [`BpDecoder::decode_in_place`] operation sequence per lane, with
-/// per-lane convergence masking on the posterior/hard commits.
-fn bp_decode_batch_impl<const L: usize>(decoder: &BpDecoder<'_>, ws: &mut BatchWorkspace) {
+/// Monomorphized batched BP decode: the reference operation sequence
+/// per lane, with per-lane convergence masking on the posterior/hard
+/// commits. Returns the lanes left to the straggler bail-out.
+fn bp_decode_batch_impl<const L: usize>(decoder: &BpDecoder<'_>, ws: &mut BatchWorkspace) -> u8 {
     let code = decoder.code();
     let config = decoder.config();
     let n_checks = code.num_checks();
@@ -290,7 +349,7 @@ fn bp_decode_batch_impl<const L: usize>(decoder: &BpDecoder<'_>, ws: &mut BatchW
     let fwd = chunks_mut::<L>(&mut ws.fwd);
 
     // v2c from the clamped channel; posterior/hard from the raw channel —
-    // the scalar decoder's exact initialization.
+    // the reference decoder's exact initialization.
     gather_clamp_batch(edge_var, llr, v2c);
     posterior.copy_from_slice(llr);
     hard_decisions_batch(posterior, hard);
@@ -298,8 +357,8 @@ fn bp_decode_batch_impl<const L: usize>(decoder: &BpDecoder<'_>, ws: &mut BatchW
     let lane_mask: u8 = if L == 8 { 0xFF } else { (1u8 << L) - 1 };
     // Per-lane unsatisfied-check mask of the *current* hard decisions;
     // a lane leaves `active` the moment its syndrome clears and its
-    // posterior/hard never move again — exactly where the scalar decoder
-    // stops that frame.
+    // posterior/hard never move again — exactly where a single-frame
+    // decode stops.
     let mut unsat = syndrome_batch(offsets, edge_var, n_checks, hard) & lane_mask;
     let mut active = unsat;
     ws.iterations = [0; MAX_LANES];
@@ -307,10 +366,10 @@ fn bp_decode_batch_impl<const L: usize>(decoder: &BpDecoder<'_>, ws: &mut BatchW
     // Straggler bail-out: once fewer than a third of the lanes are still
     // active, every full-width iteration wastes most of the vector work
     // (the batch otherwise runs to the max-over-lanes iteration count).
-    // Those lanes finish with a from-scratch scalar decode below, which
-    // *is* the bit-identity reference by definition. The one-third cut
-    // was tuned on the BER-eval benchmark at a straggler-heavy operating
-    // point; bailing at half keeps too many near-converged lanes scalar.
+    // Those lanes finish with a from-scratch one-lane decode
+    // (`finish_stragglers`), which never bails. The one-third cut was
+    // tuned on the BER-eval benchmark at a straggler-heavy operating
+    // point; bailing at half re-decodes too many near-converged lanes.
     let mut bailed = 0u8;
     let mut it = 0;
     while it < config.max_iterations && active != 0 {
@@ -342,11 +401,10 @@ fn bp_decode_batch_impl<const L: usize>(decoder: &BpDecoder<'_>, ws: &mut BatchW
         // Posterior accumulation into the scratch buffer (the in-place
         // variant would destroy frozen lanes before the masked commit),
         // then the masked commit and the variable-to-check update. The
-        // scalar decoder fuses the v2c update with the syndrome fold;
-        // here the syndrome is a separate integer-only pass — same
-        // values, and the split loops vectorize. Frozen lanes write
-        // drifted v2c (never observed) but contribute their *frozen*
-        // parity, so a converged lane stays converged.
+        // syndrome is a separate integer-only pass, so the split loops
+        // vectorize. Frozen lanes write drifted v2c (never observed) but
+        // contribute their *frozen* parity, so a converged lane stays
+        // converged.
         clamp_batch(llr, post_new);
         scatter_add_batch(edge_var, c2v, post_new);
         masked_commit_batch(active, post_new, posterior, hard);
@@ -355,33 +413,12 @@ fn bp_decode_batch_impl<const L: usize>(decoder: &BpDecoder<'_>, ws: &mut BatchW
         active &= unsat;
     }
     ws.converged = lane_mask & !unsat;
-
-    for lane in 0..L {
-        if (bailed >> lane) & 1 == 0 {
-            continue;
-        }
-        for (i, ch) in llr.iter().enumerate() {
-            ws.lane_llr[i] = ch[lane];
-        }
-        ws.scalar.ensure_rule(config.check_rule);
-        let status = decoder.decode_in_place(&mut ws.scalar, &ws.lane_llr);
-        for ((p, h), (&sp, &sh)) in posterior
-            .iter_mut()
-            .zip(hard.iter_mut())
-            .zip(ws.scalar.posterior().iter().zip(ws.scalar.hard()))
-        {
-            p[lane] = sp;
-            *h = (*h & !(1 << lane)) | (u8::from(sh) << lane);
-        }
-        ws.iterations[lane] = status.iterations;
-        ws.converged = (ws.converged & !(1 << lane)) | (u8::from(status.converged) << lane);
-    }
+    bailed
 }
 
 /// Reusable structure-of-arrays state for
-/// [`WindowDecoder::decode_batch`]: the lane-batched counterpart of
-/// [`crate::window::WindowWorkspace`]. The per-check activation flags
-/// are shared across lanes — the window schedule is lane-independent.
+/// [`WindowDecoder::decode_batch`]. The per-check activation flags are
+/// shared across lanes — the window schedule is lane-independent.
 #[derive(Clone, Debug, Default)]
 pub struct WindowBatchWorkspace {
     lanes: usize,
@@ -488,7 +525,7 @@ impl WindowDecoder {
     /// window decoder's fixed iteration count and lane-independent
     /// schedule need no convergence masking: each lane's decisions are
     /// bit-identical to
-    /// [`decode_in_place`](WindowDecoder::decode_in_place) on that
+    /// [`reference::decode`](crate::window::reference::decode) on that
     /// lane's LLRs.
     ///
     /// # Panics
@@ -496,15 +533,12 @@ impl WindowDecoder {
     /// Panics as [`decode`](WindowDecoder::decode) does, and if the
     /// workspace was sized for a different code length.
     pub fn decode_batch(&self, ws: &mut WindowBatchWorkspace, code: &CoupledCode) {
-        let n = code.code().len();
-        assert_eq!(ws.n, n, "workspace sized for a different code");
-        self.check_rule.validate();
-        let mcc = code.memory();
-        assert!(
-            self.window > mcc,
-            "window {} must exceed the coupling memory {mcc}",
-            self.window
+        assert_eq!(
+            ws.n,
+            code.code().len(),
+            "workspace sized for a different code"
         );
+        self.validate_for(code);
         let lanes = ws.lanes;
         ws.ensure(code.code(), lanes);
         if let CheckRule::SumProductTable { bits } = self.check_rule {
@@ -514,16 +548,13 @@ impl WindowDecoder {
     }
 }
 
-/// Monomorphized batched window decode: the scalar
-/// [`WindowDecoder::decode_in_place`] operation sequence per lane.
+/// Monomorphized batched window decode: the reference operation
+/// sequence per lane.
 fn window_decode_batch_impl<const L: usize>(
     decoder: &WindowDecoder,
     code: &CoupledCode,
     ws: &mut WindowBatchWorkspace,
 ) {
-    let mcc = code.memory();
-    let l = code.num_blocks();
-    let block_checks = code.block_checks();
     let offsets = code.code().check_edge_offsets();
     let edge_var = code.code().edge_vars();
 
@@ -539,9 +570,8 @@ fn window_decode_batch_impl<const L: usize>(
     hard.fill(0);
     active.fill(false);
 
-    for t in 0..l {
-        let check_lo = t * block_checks;
-        let check_hi = ((t + decoder.window).min(l + mcc)) * block_checks;
+    for t in 0..code.num_blocks() {
+        let (check_lo, check_hi) = decoder.check_range(code, t);
         if !decoder.reuse_messages {
             active[check_lo..check_hi].fill(false);
         }

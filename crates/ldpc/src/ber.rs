@@ -63,8 +63,8 @@
 
 use crate::batch::{lanes_problem, BatchWorkspace, WindowBatchWorkspace, DEFAULT_LANES, MAX_LANES};
 use crate::code::LdpcCode;
-use crate::decoder::{BpConfig, BpDecoder, DecoderWorkspace};
-use crate::window::{CoupledCode, WindowDecoder, WindowWorkspace};
+use crate::decoder::{BpConfig, BpDecoder};
+use crate::window::{CoupledCode, WindowDecoder};
 use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::collections::HashMap;
@@ -294,7 +294,7 @@ pub trait BerTarget: Sync {
     ) -> FrameStats;
 
     /// Widest frame batch [`eval_frames_each`](BerTarget::eval_frames_each)
-    /// decodes in lockstep (1 = scalar only).
+    /// decodes in lockstep (1 = one frame at a time).
     ///
     /// The Monte-Carlo driver sizes its per-worker chunks by this so
     /// batched targets see full-width batches; the value is advisory —
@@ -368,7 +368,7 @@ impl<'a> BlockBerTarget<'a> {
     ///
     /// Full-width batches of [`batch::DEFAULT_LANES`](crate::batch)
     /// frames are decoded in lockstep by default — bit-identical per
-    /// frame to the scalar decoder; see [`with_batch`](Self::with_batch).
+    /// frame to a single-frame decode; see [`with_batch`](Self::with_batch).
     ///
     /// # Panics
     ///
@@ -384,7 +384,7 @@ impl<'a> BlockBerTarget<'a> {
         }
     }
 
-    /// Sets the inter-frame batch width (1 = scalar decoding only).
+    /// Sets the inter-frame batch width (1 = one frame per decode).
     ///
     /// Any width produces bit-identical per-frame results; the knob only
     /// trades vector-lane utilization against per-frame latency.
@@ -400,13 +400,6 @@ impl<'a> BlockBerTarget<'a> {
         self.batch = batch;
         self
     }
-}
-
-/// Concrete scratch a [`BlockBerTarget`] keeps inside a [`BerWorkspace`].
-struct BlockState {
-    ws: DecoderWorkspace,
-    batch: BatchWorkspace,
-    llr: Vec<f64>,
 }
 
 impl BerTarget for BlockBerTarget<'_> {
@@ -441,44 +434,17 @@ impl BerTarget for BlockBerTarget<'_> {
         out: &mut [FrameStats],
     ) {
         let sigma = ebn0_db_to_sigma(ebn0_db, self.rate);
-        let n = self.code.len();
-        let lanes = self.batch;
         let decoder = BpDecoder::new(self.code, self.config);
-        let state = ws.state(|| BlockState {
-            ws: DecoderWorkspace::new(self.code),
-            batch: BatchWorkspace::new(self.code, lanes),
-            llr: vec![0.0; n],
-        });
-        state.ws.ensure(self.code);
-        state.llr.resize(n, 0.0);
-        // Full-width batches decode in lockstep; the ragged tail (and the
-        // whole slice when `batch` is 1) takes the scalar decoder. Both
-        // paths are bit-identical per frame, so the split is invisible.
-        let mut i = 0;
-        if lanes > 1 && out.len() >= lanes {
-            state.batch.ensure(self.code, lanes);
-            while out.len() - i >= lanes {
-                for lane in 0..lanes {
-                    fill_frame_llrs(&mut state.llr, sigma, seed, first + (i + lane) as u64);
-                    state.batch.set_lane_llr(lane, &state.llr);
-                }
-                decoder.decode_batch(&mut state.batch);
-                for lane in 0..lanes {
-                    let mut stats = FrameStats::default();
-                    stats.push_frame(n as u64, state.batch.lane_error_count(lane));
-                    out[i + lane] = stats;
-                }
-                i += lanes;
-            }
-        }
-        for (j, slot) in out.iter_mut().enumerate().skip(i) {
-            fill_frame_llrs(&mut state.llr, sigma, seed, first + j as u64);
-            decoder.decode_in_place(&mut state.ws, &state.llr);
-            let errors = state.ws.hard().iter().filter(|&&b| b).count() as u64;
-            let mut stats = FrameStats::default();
-            stats.push_frame(n as u64, errors);
-            *slot = stats;
-        }
+        eval_lanes(
+            ws,
+            out,
+            self.code,
+            self.batch,
+            sigma,
+            seed,
+            first,
+            |bws: &mut BatchWorkspace| decoder.decode_batch(bws),
+        );
     }
 }
 
@@ -499,7 +465,7 @@ impl<'a> CoupledBerTarget<'a> {
     ///
     /// Full-width batches of [`batch::DEFAULT_LANES`](crate::batch)
     /// frames are window-decoded in lockstep by default — bit-identical
-    /// per frame to the scalar window decoder; see
+    /// per frame to a single-frame window decode; see
     /// [`with_batch`](Self::with_batch).
     ///
     /// # Panics
@@ -514,7 +480,7 @@ impl<'a> CoupledBerTarget<'a> {
         }
     }
 
-    /// Sets the inter-frame batch width (1 = scalar decoding only).
+    /// Sets the inter-frame batch width (1 = one frame per decode).
     ///
     /// Any width produces bit-identical per-frame results; the knob only
     /// trades vector-lane utilization against per-frame latency.
@@ -530,14 +496,6 @@ impl<'a> CoupledBerTarget<'a> {
         self.batch = batch;
         self
     }
-}
-
-/// Concrete scratch a [`CoupledBerTarget`] keeps inside a
-/// [`BerWorkspace`].
-struct CoupledState {
-    ws: WindowWorkspace,
-    batch: WindowBatchWorkspace,
-    llr: Vec<f64>,
 }
 
 impl BerTarget for CoupledBerTarget<'_> {
@@ -572,45 +530,93 @@ impl BerTarget for CoupledBerTarget<'_> {
         out: &mut [FrameStats],
     ) {
         let sigma = ebn0_db_to_sigma(ebn0_db, self.code.design_rate());
-        let n = self.code.code().len();
-        let lanes = self.batch;
-        let state = ws.state(|| CoupledState {
-            ws: WindowWorkspace::new(self.code.code()),
-            batch: WindowBatchWorkspace::new(self.code.code(), lanes),
-            llr: vec![0.0; n],
-        });
-        state.ws.ensure(self.code.code());
-        state.llr.resize(n, 0.0);
-        // Full-width batches slide the window over all lanes in lockstep
-        // (the decode pins target blocks in the workspace's LLRs, so every
-        // lane is reloaded before each batch); the ragged tail takes the
-        // scalar window decoder. Both paths are bit-identical per frame.
-        let mut i = 0;
-        if lanes > 1 && out.len() >= lanes {
-            state.batch.ensure(self.code.code(), lanes);
-            while out.len() - i >= lanes {
-                for lane in 0..lanes {
-                    fill_frame_llrs(&mut state.llr, sigma, seed, first + (i + lane) as u64);
-                    state.batch.set_lane_llr(lane, &state.llr);
-                }
-                self.decoder.decode_batch(&mut state.batch, self.code);
-                for lane in 0..lanes {
-                    let mut stats = FrameStats::default();
-                    stats.push_frame(n as u64, state.batch.lane_error_count(lane));
-                    out[i + lane] = stats;
-                }
-                i += lanes;
-            }
+        eval_lanes(
+            ws,
+            out,
+            self.code.code(),
+            self.batch,
+            sigma,
+            seed,
+            first,
+            |wws: &mut WindowBatchWorkspace| self.decoder.decode_batch(wws, self.code),
+        );
+    }
+}
+
+/// A lane engine's workspace, as the batched targets drive it.
+trait LaneWorkspace: Default + Send + 'static {
+    fn ensure(&mut self, code: &LdpcCode, lanes: usize);
+    fn set_lane_llr(&mut self, lane: usize, llr: &[f64]);
+    fn lane_error_count(&self, lane: usize) -> u64;
+}
+
+impl LaneWorkspace for BatchWorkspace {
+    fn ensure(&mut self, code: &LdpcCode, lanes: usize) {
+        BatchWorkspace::ensure(self, code, lanes);
+    }
+    fn set_lane_llr(&mut self, lane: usize, llr: &[f64]) {
+        BatchWorkspace::set_lane_llr(self, lane, llr);
+    }
+    fn lane_error_count(&self, lane: usize) -> u64 {
+        BatchWorkspace::lane_error_count(self, lane)
+    }
+}
+
+impl LaneWorkspace for WindowBatchWorkspace {
+    fn ensure(&mut self, code: &LdpcCode, lanes: usize) {
+        WindowBatchWorkspace::ensure(self, code, lanes);
+    }
+    fn set_lane_llr(&mut self, lane: usize, llr: &[f64]) {
+        WindowBatchWorkspace::set_lane_llr(self, lane, llr);
+    }
+    fn lane_error_count(&self, lane: usize) -> u64 {
+        WindowBatchWorkspace::lane_error_count(self, lane)
+    }
+}
+
+/// Scratch a batched target keeps inside a [`BerWorkspace`]: the lane
+/// engine's workspace plus one frame's LLR buffer.
+#[derive(Default)]
+struct LaneState<W> {
+    ws: W,
+    llr: Vec<f64>,
+}
+
+/// The shared `eval_frames_each` body of the batched targets: fills the
+/// `out.len()` frames starting at `first`, decodes them through `decode`
+/// in batches of `lanes` and writes each frame's counts into its slot.
+/// The ragged tail runs through the same engine at the widest power of
+/// two that fits, down to width 1 — every width is bit-identical per
+/// frame, so the split is invisible.
+#[allow(clippy::too_many_arguments)] // one call's frame range and channel, spelled out
+fn eval_lanes<W: LaneWorkspace>(
+    ws: &mut BerWorkspace,
+    out: &mut [FrameStats],
+    code: &LdpcCode,
+    lanes: usize,
+    sigma: f64,
+    seed: u64,
+    first: u64,
+    decode: impl Fn(&mut W),
+) {
+    let n = code.len();
+    let state = ws.state(LaneState::<W>::default);
+    state.llr.resize(n, 0.0);
+    let mut i = 0;
+    while i < out.len() {
+        let width = 1 << (out.len() - i).min(lanes).ilog2();
+        state.ws.ensure(code, width);
+        for lane in 0..width {
+            let frame = first + (i + lane) as u64;
+            fill_frame_llrs(&mut state.llr, sigma, seed, frame);
+            state.ws.set_lane_llr(lane, &state.llr);
         }
-        for (j, slot) in out.iter_mut().enumerate().skip(i) {
-            fill_frame_llrs(&mut state.llr, sigma, seed, first + j as u64);
-            self.decoder
-                .decode_in_place(&mut state.ws, self.code, &state.llr);
-            let errors = state.ws.hard().iter().filter(|&&b| b).count() as u64;
-            let mut stats = FrameStats::default();
-            stats.push_frame(n as u64, errors);
-            *slot = stats;
+        decode(&mut state.ws);
+        for (lane, slot) in out[i..i + width].iter_mut().enumerate() {
+            *slot = FrameStats::default();
+            slot.push_frame(n as u64, state.ws.lane_error_count(lane));
         }
+        i += width;
     }
 }
 

@@ -12,21 +12,23 @@
 //!   exact rule instead of bit-identical (see the [`kernel`] docs).
 //! * [`CheckRule::MinSum { alpha }`][CheckRule::MinSum] — normalized
 //!   min-sum: sign product and two-smallest-magnitude tracking, with a
-//!   4-wide unrolled fast path for the paper codes' degree-8 checks.
-//!   This is the standard hardware-faithful approximation; `alpha ≈ 0.8`
-//!   recovers most of the sum-product performance on the paper's
-//!   (4,8)-regular codes.
+//!   min-tree fast path for the paper codes' degree-8 checks when a
+//!   single frame is decoded. This is the standard hardware-faithful
+//!   approximation; `alpha ≈ 0.8` recovers most of the sum-product
+//!   performance on the paper's (4,8)-regular codes.
 //!
-//! Messages live in flat per-edge arrays owned by a reusable
-//! [`DecoderWorkspace`], so [`BpDecoder::decode_in_place`] performs **zero
-//! heap allocation**: check updates stream over `edge_var` /
-//! `check_offsets` (see [`LdpcCode`]) and the syndrome check is folded
-//! into the variable-to-check pass instead of a separate graph traversal.
-//! The original nested-`Vec` decoder is retained in [`mod@reference`] as the
-//! correctness oracle; the engines are bit-identical under every rule (see
-//! `tests/csr_equivalence.rs` — the *table rule's* accuracy relative to
-//! exact sum-product is what `tests/phi_table.rs` bounds instead).
+//! The decoding engine is the lane-batched one in [`crate::batch`]:
+//! messages live in flat per-edge arrays owned by a reusable
+//! [`BatchWorkspace`], so [`BpDecoder::decode_batch`] performs **zero
+//! heap allocation**, and [`BpDecoder::decode`] is its one-lane
+//! convenience wrapper. The original nested-`Vec` decoder is retained in
+//! [`mod@reference`] as the correctness oracle; the engine is
+//! bit-identical to it under every rule (see `tests/csr_equivalence.rs`
+//! and `tests/batch_equivalence.rs` — the *table rule's* accuracy
+//! relative to exact sum-product is what `tests/phi_table.rs` bounds
+//! instead).
 
+use crate::batch::BatchWorkspace;
 use crate::code::LdpcCode;
 use crate::kernel::{self, PhiTable};
 use serde::{Deserialize, Serialize};
@@ -135,8 +137,9 @@ pub struct DecodeResult {
     pub converged: bool,
 }
 
-/// Iterations/convergence summary of an in-place decode; the hard
-/// decisions and posteriors stay in the [`DecoderWorkspace`].
+/// Iterations/convergence summary of one lane of a batched decode; the
+/// hard decisions and posteriors stay in the
+/// [`BatchWorkspace`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DecodeStatus {
     /// Iterations executed.
@@ -145,110 +148,16 @@ pub struct DecodeStatus {
     pub converged: bool,
 }
 
-/// Reusable flat message buffers for one code shape.
-///
-/// Constructing the workspace performs every allocation the decoder will
-/// ever need; [`BpDecoder::decode_in_place`] then runs allocation-free, so
-/// Monte-Carlo loops pay the heap cost once instead of per frame.
-#[derive(Clone, Debug, Default)]
-pub struct DecoderWorkspace {
-    /// Variable-to-check message per edge (check-major).
-    v2c: Vec<f64>,
-    /// Check-to-variable message per edge (check-major).
-    c2v: Vec<f64>,
-    /// Per-check scratch: `tanh(v2c/2)` (exact sum-product) or
-    /// `φ(|v2c|)` (table rule).
-    scratch: Vec<f64>,
-    /// Per-check scratch: forward partial products (exact sum-product
-    /// only).
-    fwd: Vec<f64>,
-    /// φ lookup table (built lazily, only for the table rule).
-    phi: PhiTable,
-    /// Posterior LLR per variable.
-    posterior: Vec<f64>,
-    /// Hard decision per variable.
-    hard: Vec<bool>,
-}
-
-impl DecoderWorkspace {
-    /// Allocates buffers sized for `code`.
-    pub fn new(code: &LdpcCode) -> Self {
-        let mut ws = DecoderWorkspace::default();
-        ws.ensure(code);
-        ws
-    }
-
-    /// Resizes the buffers for `code` (no-op when already sized; only
-    /// reallocates when the code shape grows).
-    pub fn ensure(&mut self, code: &LdpcCode) {
-        let e = code.num_edges();
-        let n = code.len();
-        let d = code.max_check_degree();
-        self.v2c.resize(e, 0.0);
-        self.c2v.resize(e, 0.0);
-        self.scratch.resize(d, 0.0);
-        self.fwd.resize(d + 1, 1.0);
-        self.posterior.resize(n, 0.0);
-        self.hard.resize(n, false);
-    }
-
-    /// Builds rule-dependent state (the φ table) if `rule` needs it —
-    /// a no-op after the first decode with a given rule.
-    pub fn ensure_rule(&mut self, rule: CheckRule) {
-        if let CheckRule::SumProductTable { bits } = rule {
-            self.phi.ensure(bits);
-        }
-    }
-
-    /// Hard decisions of the last decode (true = bit 1).
-    pub fn hard(&self) -> &[bool] {
-        &self.hard
-    }
-
-    /// Posterior LLRs of the last decode.
-    pub fn posterior(&self) -> &[f64] {
-        &self.posterior
-    }
-}
-
 /// One flooding check-node update over checks `check_lo..check_hi`,
-/// streaming the flat CSR arrays: dispatches `rule` to its
+/// streaming the flat CSR arrays with messages in `[edge][lane]`
+/// structure-of-arrays layout: dispatches `rule` to its
 /// [`crate::kernel`] implementation. Scratch slices must hold
 /// `max_check_degree` (+1 for `fwd`) entries; `phi` must be built
 /// (see [`PhiTable::ensure`]) when the rule is
 /// [`CheckRule::SumProductTable`].
 ///
-/// Shared by [`BpDecoder`] and the window decoder so both engines apply
+/// Shared by [`BpDecoder`] and the window decoder so both schedules apply
 /// identical numerics.
-#[allow(clippy::too_many_arguments)] // flat kernel: every slice is a distinct buffer
-pub(crate) fn update_checks(
-    offsets: &[u32],
-    check_lo: usize,
-    check_hi: usize,
-    rule: CheckRule,
-    phi: &PhiTable,
-    v2c: &[f64],
-    c2v: &mut [f64],
-    scratch: &mut [f64],
-    fwd: &mut [f64],
-) {
-    match rule {
-        CheckRule::SumProduct => {
-            kernel::sum_product_exact(offsets, check_lo, check_hi, v2c, c2v, scratch, fwd);
-        }
-        CheckRule::SumProductTable { .. } => {
-            kernel::sum_product_table(offsets, check_lo, check_hi, phi, v2c, c2v, scratch);
-        }
-        CheckRule::MinSum { alpha } => {
-            kernel::min_sum(offsets, check_lo, check_hi, alpha, v2c, c2v);
-        }
-    }
-}
-
-/// Lane-array counterpart of [`update_checks`] for the inter-frame
-/// batched decoders (`crate::batch`): same per-rule dispatch, with
-/// messages in `[edge][lane]` structure-of-arrays layout. Each lane is
-/// bit-identical to [`update_checks`] on that lane's messages.
 #[allow(clippy::too_many_arguments)] // flat kernel: every slice is a distinct buffer
 pub(crate) fn update_checks_batch<const L: usize>(
     offsets: &[u32],
@@ -303,143 +212,20 @@ impl<'a> BpDecoder<'a> {
         self.code
     }
 
-    /// Decodes channel LLRs (positive favours bit 0), allocating a fresh
-    /// workspace. Monte-Carlo loops should prefer
-    /// [`decode_with`](BpDecoder::decode_with) /
-    /// [`decode_in_place`](BpDecoder::decode_in_place) with a reused
-    /// workspace.
+    /// Decodes channel LLRs (positive favours bit 0) as a one-lane
+    /// [`decode_batch`](BpDecoder::decode_batch), allocating a fresh
+    /// workspace. Monte-Carlo loops should prefer `decode_batch` with a
+    /// reused [`BatchWorkspace`].
     ///
     /// # Panics
     ///
     /// Panics if `channel_llr.len()` differs from the code length.
     pub fn decode(&self, channel_llr: &[f64]) -> DecodeResult {
-        let mut ws = DecoderWorkspace::new(self.code);
-        self.decode_with(&mut ws, channel_llr)
+        let mut ws = BatchWorkspace::new(self.code, 1);
+        ws.set_lane_llr(0, channel_llr);
+        self.decode_batch(&mut ws);
+        ws.lane_result(0)
     }
-
-    /// Decodes using a caller-owned workspace and returns an owned
-    /// [`DecodeResult`] (the only allocations are the result's two
-    /// output vectors).
-    pub fn decode_with(&self, ws: &mut DecoderWorkspace, channel_llr: &[f64]) -> DecodeResult {
-        let status = self.decode_in_place(ws, channel_llr);
-        DecodeResult {
-            hard: ws.hard.clone(),
-            posterior: ws.posterior.clone(),
-            iterations: status.iterations,
-            converged: status.converged,
-        }
-    }
-
-    /// Decodes entirely inside `ws` — **zero heap allocation** (the φ
-    /// table of [`CheckRule::SumProductTable`] is built on the first
-    /// decode and reused afterwards). Read the decisions from
-    /// [`DecoderWorkspace::hard`] / [`DecoderWorkspace::posterior`].
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use wi_ldpc::{BpConfig, BpDecoder, CheckRule, DecoderWorkspace, LdpcCode};
-    ///
-    /// let code = LdpcCode::paper_block(10, 1);
-    /// let config = BpConfig {
-    ///     check_rule: CheckRule::sum_product_table(),
-    ///     ..BpConfig::default()
-    /// };
-    /// let decoder = BpDecoder::new(&code, config);
-    /// let mut ws = DecoderWorkspace::new(&code);
-    /// // Clean all-zero codeword: positive LLRs favour bit 0 everywhere.
-    /// let status = decoder.decode_in_place(&mut ws, &vec![4.0; code.len()]);
-    /// assert!(status.converged);
-    /// assert!(ws.hard().iter().all(|&bit| !bit));
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel_llr.len()` differs from the code length.
-    pub fn decode_in_place(&self, ws: &mut DecoderWorkspace, channel_llr: &[f64]) -> DecodeStatus {
-        let code = self.code;
-        let n = code.len();
-        assert_eq!(channel_llr.len(), n, "LLR length mismatch");
-        ws.ensure(code);
-        ws.ensure_rule(self.config.check_rule);
-        let n_checks = code.num_checks();
-        let offsets = code.check_edge_offsets();
-        let edge_var = code.edge_vars();
-
-        // v2c initialized from the (clamped) channel, streaming the edges.
-        for (m, &v) in ws.v2c.iter_mut().zip(edge_var) {
-            *m = channel_llr[v as usize].clamp(-LLR_CLAMP, LLR_CLAMP);
-        }
-        ws.posterior.copy_from_slice(channel_llr);
-        for (h, &l) in ws.hard.iter_mut().zip(channel_llr) {
-            *h = l < 0.0;
-        }
-
-        let mut iterations = 0;
-        let mut converged = syndrome_ok(offsets, edge_var, n_checks, &ws.hard);
-        while iterations < self.config.max_iterations && !converged {
-            iterations += 1;
-
-            update_checks(
-                offsets,
-                0,
-                n_checks,
-                self.config.check_rule,
-                &ws.phi,
-                &ws.v2c,
-                &mut ws.c2v,
-                &mut ws.scratch,
-                &mut ws.fwd,
-            );
-
-            // Posterior: clamped channel plus all incoming check messages,
-            // accumulated edge-major (same order as the reference engine).
-            for (p, &ch) in ws.posterior.iter_mut().zip(channel_llr) {
-                *p = ch.clamp(-LLR_CLAMP, LLR_CLAMP);
-            }
-            for (&v, &m) in edge_var.iter().zip(&ws.c2v) {
-                ws.posterior[v as usize] += m;
-            }
-            for (h, &p) in ws.hard.iter_mut().zip(&ws.posterior) {
-                *h = p < 0.0;
-            }
-
-            // Variable-to-check update with the syndrome check folded in:
-            // one pass over the edges serves both, so convergence detection
-            // costs no extra graph traversal.
-            converged = true;
-            for c in 0..n_checks {
-                let lo = offsets[c] as usize;
-                let hi = offsets[c + 1] as usize;
-                let mut parity = false;
-                #[allow(clippy::needless_range_loop)] // e indexes edge_var and v2c in lockstep
-                for e in lo..hi {
-                    let v = edge_var[e] as usize;
-                    ws.v2c[e] = (ws.posterior[v] - ws.c2v[e]).clamp(-LLR_CLAMP, LLR_CLAMP);
-                    parity ^= ws.hard[v];
-                }
-                if parity {
-                    converged = false;
-                }
-            }
-        }
-
-        DecodeStatus {
-            iterations,
-            converged,
-        }
-    }
-}
-
-/// Zero-syndrome test over the CSR layout.
-fn syndrome_ok(offsets: &[u32], edge_var: &[u32], n_checks: usize, hard: &[bool]) -> bool {
-    (0..n_checks).all(|c| {
-        let lo = offsets[c] as usize;
-        let hi = offsets[c + 1] as usize;
-        !edge_var[lo..hi]
-            .iter()
-            .fold(false, |acc, &v| acc ^ hard[v as usize])
-    })
 }
 
 /// Converts AWGN/BPSK observations to channel LLRs: bit 0 ↦ +1, bit 1 ↦ −1,
@@ -451,20 +237,23 @@ pub fn awgn_llrs(received: &[f64], sigma: f64) -> Vec<f64> {
 }
 
 /// The original nested-`Vec` decoder, retained as the correctness oracle
-/// for the flat CSR engine.
+/// for the lane-batched engine.
 ///
 /// It allocates per-check message vectors and per-iteration scratch on
 /// every call — exactly the behaviour the workspace engine removes — and
-/// is kept unoptimized on purpose: `tests/csr_equivalence.rs` asserts the
-/// two engines produce bit-identical [`DecodeResult`]s under every
-/// [`CheckRule`] (the table rule shares the same [`PhiTable`] evaluation,
-/// so engine equivalence stays exact even though the *rule* is only
+/// is kept unoptimized on purpose: `tests/csr_equivalence.rs` and
+/// `tests/batch_equivalence.rs` assert that every lane of the engine
+/// produces a bit-identical [`DecodeResult`] under every [`CheckRule`]
+/// (the table rule shares the same [`PhiTable`] evaluation, so engine
+/// equivalence stays exact even though the *rule* is only
 /// accuracy-tested against exact sum-product), and the `bp_decode_*`
-/// benches measure the speedup against it.
+/// benches measure the speedup against it. Its per-check update,
+/// `check_update`, is also the check rule of the window oracle
+/// [`crate::window::reference`].
 pub mod reference {
     use super::{BpConfig, CheckRule, DecodeResult, LLR_CLAMP};
     use crate::code::LdpcCode;
-    use crate::kernel::{PhiTable, TANH_CLAMP};
+    use crate::kernel::{phi_gather_floor, PhiTable, TANH_CLAMP};
 
     /// Decodes `channel_llr` with the naive nested-`Vec` engine.
     ///
@@ -489,83 +278,15 @@ pub mod reference {
             .collect();
         let mut posterior: Vec<f64> = channel_llr.to_vec();
         let mut hard: Vec<bool> = channel_llr.iter().map(|&l| l < 0.0).collect();
-        // The oracle shares the engine's φ table so the two stay
-        // bit-identical under the table rule as well.
-        let phi = match config.check_rule {
-            CheckRule::SumProductTable { bits } => Some(PhiTable::new(bits)),
-            _ => None,
-        };
+        let phi = rule_table(config.check_rule);
 
         let mut iterations = 0;
         let mut converged = syndrome_ok(code, &hard);
         while iterations < config.max_iterations && !converged {
             iterations += 1;
 
-            #[allow(clippy::needless_range_loop)] // c indexes v2c/c2v and the code in lockstep
-            for c in 0..n_checks {
-                let deg = v2c[c].len();
-                match config.check_rule {
-                    CheckRule::SumProduct => {
-                        let tanhs: Vec<f64> = v2c[c]
-                            .iter()
-                            .map(|&m| (m / 2.0).tanh().clamp(-TANH_CLAMP, TANH_CLAMP))
-                            .collect();
-                        let mut fwd = vec![1.0; deg + 1];
-                        for j in 0..deg {
-                            fwd[j + 1] = fwd[j] * tanhs[j];
-                        }
-                        let mut bwd = 1.0;
-                        for j in (0..deg).rev() {
-                            let excl = fwd[j] * bwd;
-                            c2v[c][j] = (2.0 * excl.atanh()).clamp(-LLR_CLAMP, LLR_CLAMP);
-                            bwd *= tanhs[j];
-                        }
-                    }
-                    CheckRule::SumProductTable { .. } => {
-                        let phi = phi.as_ref().expect("table built for the table rule");
-                        let floor = crate::kernel::phi_gather_floor();
-                        let mut phis = vec![0.0f64; deg];
-                        let mut total = 0.0f64;
-                        let mut sign_prod = 1.0f64;
-                        for (p, &m) in phis.iter_mut().zip(&v2c[c]) {
-                            let a = phi.eval(m.abs()).max(floor);
-                            *p = a;
-                            total += a;
-                            if m < 0.0 {
-                                sign_prod = -sign_prod;
-                            }
-                        }
-                        for (j, &m) in (0..deg).zip(&v2c[c]) {
-                            let mag = phi.eval((total - phis[j]).max(0.0));
-                            let sign = if m < 0.0 { -sign_prod } else { sign_prod };
-                            c2v[c][j] = (sign * mag).clamp(-LLR_CLAMP, LLR_CLAMP);
-                        }
-                    }
-                    CheckRule::MinSum { alpha } => {
-                        let mut min1 = f64::INFINITY;
-                        let mut min2 = f64::INFINITY;
-                        let mut min1_at = 0;
-                        let mut sign_prod = 1.0f64;
-                        for (j, &m) in v2c[c].iter().enumerate() {
-                            let mag = m.abs();
-                            if mag < min1 {
-                                min2 = min1;
-                                min1 = mag;
-                                min1_at = j;
-                            } else if mag < min2 {
-                                min2 = mag;
-                            }
-                            if m < 0.0 {
-                                sign_prod = -sign_prod;
-                            }
-                        }
-                        for (j, &m) in v2c[c].iter().enumerate() {
-                            let mag = if j == min1_at { min2 } else { min1 };
-                            let sign = if m < 0.0 { -sign_prod } else { sign_prod };
-                            c2v[c][j] = (alpha * sign * mag).clamp(-LLR_CLAMP, LLR_CLAMP);
-                        }
-                    }
-                }
+            for (m, out) in v2c.iter().zip(c2v.iter_mut()) {
+                check_update(config.check_rule, phi.as_ref(), m, out);
             }
 
             for (p, &ch) in posterior.iter_mut().zip(channel_llr) {
@@ -593,6 +314,83 @@ pub mod reference {
             posterior,
             iterations,
             converged,
+        }
+    }
+
+    /// The φ table `rule` evaluates, built fresh; `None` unless `rule` is
+    /// [`CheckRule::SumProductTable`]. The oracles share the engine's
+    /// table construction so the two stay bit-identical under the table
+    /// rule as well.
+    pub(crate) fn rule_table(rule: CheckRule) -> Option<PhiTable> {
+        match rule {
+            CheckRule::SumProductTable { bits } => Some(PhiTable::new(bits)),
+            _ => None,
+        }
+    }
+
+    /// The naive update of one check: extrinsic messages `out[j]` from the
+    /// incoming `m` under `rule`. `phi` must hold the rule's table (see
+    /// [`rule_table`]) under [`CheckRule::SumProductTable`].
+    pub(crate) fn check_update(
+        rule: CheckRule,
+        phi: Option<&PhiTable>,
+        m: &[f64],
+        out: &mut [f64],
+    ) {
+        let deg = m.len();
+        match rule {
+            CheckRule::SumProduct => {
+                let tanhs: Vec<f64> = m
+                    .iter()
+                    .map(|&v| (v / 2.0).tanh().clamp(-TANH_CLAMP, TANH_CLAMP))
+                    .collect();
+                let mut fwd = vec![1.0; deg + 1];
+                for j in 0..deg {
+                    fwd[j + 1] = fwd[j] * tanhs[j];
+                }
+                let mut bwd = 1.0;
+                for j in (0..deg).rev() {
+                    let excl = fwd[j] * bwd;
+                    out[j] = (2.0 * excl.atanh()).clamp(-LLR_CLAMP, LLR_CLAMP);
+                    bwd *= tanhs[j];
+                }
+            }
+            CheckRule::SumProductTable { .. } => {
+                let phi = phi.expect("table built for the table rule");
+                let floor = phi_gather_floor();
+                let phis: Vec<f64> = m.iter().map(|&v| phi.eval(v.abs()).max(floor)).collect();
+                let total = phis.iter().fold(0.0f64, |t, &a| t + a);
+                let sign_prod = m.iter().fold(1.0f64, |s, &v| if v < 0.0 { -s } else { s });
+                for j in 0..deg {
+                    let mag = phi.eval((total - phis[j]).max(0.0));
+                    let sign = if m[j] < 0.0 { -sign_prod } else { sign_prod };
+                    out[j] = (sign * mag).clamp(-LLR_CLAMP, LLR_CLAMP);
+                }
+            }
+            CheckRule::MinSum { alpha } => {
+                let mut min1 = f64::INFINITY;
+                let mut min2 = f64::INFINITY;
+                let mut min1_at = 0;
+                let mut sign_prod = 1.0f64;
+                for (j, &v) in m.iter().enumerate() {
+                    let mag = v.abs();
+                    if mag < min1 {
+                        min2 = min1;
+                        min1 = mag;
+                        min1_at = j;
+                    } else if mag < min2 {
+                        min2 = mag;
+                    }
+                    if v < 0.0 {
+                        sign_prod = -sign_prod;
+                    }
+                }
+                for (j, &v) in m.iter().enumerate() {
+                    let mag = if j == min1_at { min2 } else { min1 };
+                    let sign = if v < 0.0 { -sign_prod } else { sign_prod };
+                    out[j] = (alpha * sign * mag).clamp(-LLR_CLAMP, LLR_CLAMP);
+                }
+            }
         }
     }
 
@@ -637,7 +435,6 @@ mod tests {
         let mut gauss = Gaussian::new();
         let sigma = 0.6; // Eb/N0 ≈ 4.4 dB at rate 1/2
         let decoder = BpDecoder::new(&code, BpConfig::default());
-        let mut ws = DecoderWorkspace::new(&code);
         let mut failures = 0;
         for _ in 0..20 {
             let cw = code.random_codeword(&enc, &mut rng);
@@ -645,7 +442,7 @@ mod tests {
                 .iter()
                 .map(|&s| s + gauss.sample_with(&mut rng, 0.0, sigma))
                 .collect();
-            let dec = decoder.decode_with(&mut ws, &awgn_llrs(&rx, sigma));
+            let dec = decoder.decode(&awgn_llrs(&rx, sigma));
             if dec.hard != cw {
                 failures += 1;
             }
@@ -667,7 +464,6 @@ mod tests {
                 ..BpConfig::default()
             },
         );
-        let mut ws = DecoderWorkspace::new(&code);
         let mut failures = 0;
         for _ in 0..20 {
             let cw = code.random_codeword(&enc, &mut rng);
@@ -675,7 +471,7 @@ mod tests {
                 .iter()
                 .map(|&s| s + gauss.sample_with(&mut rng, 0.0, sigma))
                 .collect();
-            let dec = decoder.decode_with(&mut ws, &awgn_llrs(&rx, sigma));
+            let dec = decoder.decode(&awgn_llrs(&rx, sigma));
             if dec.hard != cw {
                 failures += 1;
             }
@@ -737,7 +533,7 @@ mod tests {
         let count_errors = |n: usize| -> u64 {
             let code = LdpcCode::paper_block(n, 13);
             let decoder = BpDecoder::new(&code, BpConfig::default());
-            let mut ws = DecoderWorkspace::new(&code);
+            let mut ws = BatchWorkspace::new(&code, 1);
             let mut rng = seeded_rng(5);
             let mut gauss = Gaussian::new();
             let cw = vec![false; code.len()];
@@ -748,8 +544,9 @@ mod tests {
                     .iter()
                     .map(|&s| s + gauss.sample_with(&mut rng, 0.0, sigma))
                     .collect();
-                decoder.decode_in_place(&mut ws, &awgn_llrs(&rx, sigma));
-                errs += ws.hard().iter().filter(|&&b| b).count() as u64;
+                ws.set_lane_llr(0, &awgn_llrs(&rx, sigma));
+                decoder.decode_batch(&mut ws);
+                errs += ws.lane_error_count(0);
             }
             errs
         };
@@ -764,13 +561,15 @@ mod tests {
         let decoder = BpDecoder::new(&code, BpConfig::default());
         let mut rng = seeded_rng(9);
         let mut gauss = Gaussian::new();
-        let mut ws = DecoderWorkspace::new(&code);
+        let mut ws = BatchWorkspace::new(&code, 1);
         for _ in 0..5 {
             let rx: Vec<f64> = (0..code.len())
                 .map(|_| 1.0 + gauss.sample_with(&mut rng, 0.0, 0.8))
                 .collect();
             let llr = awgn_llrs(&rx, 0.8);
-            let reused = decoder.decode_with(&mut ws, &llr);
+            ws.set_lane_llr(0, &llr);
+            decoder.decode_batch(&mut ws);
+            let reused = ws.lane_result(0);
             let fresh = decoder.decode(&llr);
             assert_eq!(reused, fresh, "stale workspace state leaked");
         }

@@ -1,23 +1,30 @@
 //! Check-node update kernels — the innermost loops of every decoder in
 //! this crate.
 //!
-//! Every [`CheckRule`](crate::decoder::CheckRule) resolves to one of the
-//! streaming kernels below; [`BpDecoder`](crate::decoder::BpDecoder) and
+//! Every kernel works on lane arrays: messages live in
+//! structure-of-arrays layout `[edge][lane]` (lane = frame), so one call
+//! updates `L` independent frames in lockstep. Every
+//! [`CheckRule`](crate::decoder::CheckRule) resolves to one of the check
+//! kernels below; [`BpDecoder`](crate::decoder::BpDecoder) and
 //! [`WindowDecoder`](crate::window::WindowDecoder) share them through
-//! `decoder::update_checks`, so both engines apply identical numerics.
-//! The kernels are public so the criterion benches (and any external
-//! experiment) can measure them in isolation:
+//! `decoder::update_checks_batch`, so both schedules apply identical
+//! numerics. A single-frame decode is the `L = 1` instance of the same
+//! code. The kernels are public so the criterion benches (and any
+//! external experiment) can measure them in isolation:
 //!
-//! * [`sum_product_exact`] — the exact `tanh`/`atanh` forward/backward
-//!   kernel of PR 1, bit-identical to the naive reference oracle.
-//! * [`sum_product_table`] — the same check update expressed through the
-//!   involutive φ-function `φ(x) = −ln tanh(x/2)` and evaluated from a
-//!   precomputed [`PhiTable`]: no transcendentals in the loop, accuracy
-//!   bounded by [`PhiTable::error_bound_at`] instead of bit-identity.
-//! * [`min_sum`] — normalized min-sum, dispatching per check to the
-//!   4-wide unrolled degree-8 fast path ([`min_sum_unrolled8`]) for the
-//!   paper's (4,8)-regular codes or to the generic scalar loop
-//!   ([`min_sum_scalar`]); the two paths are bit-identical.
+//! * [`sum_product_exact_batch`] — the exact `tanh`/`atanh`
+//!   forward/backward kernel, bit-identical per lane to the naive
+//!   reference oracle.
+//! * [`sum_product_table_batch`] — the same check update expressed
+//!   through the involutive φ-function `φ(x) = −ln tanh(x/2)` and
+//!   evaluated from a precomputed [`PhiTable`]: no transcendentals in the
+//!   loop, accuracy bounded by [`PhiTable::error_bound_at`] instead of
+//!   bit-identity.
+//! * [`min_sum_batch`] — normalized min-sum with a branch-free two-min
+//!   tracker per lane.
+//!
+//! The φ-table kernel takes a fixed-array fast path for the degree-8
+//! checks of the paper's (4,8)-regular codes.
 //!
 //! # The φ formulation
 //!
@@ -286,44 +293,6 @@ pub fn phi_gather_floor() -> f64 {
     -TANH_CLAMP.ln()
 }
 
-/// Exact sum-product check update over checks `check_lo..check_hi` of the
-/// CSR layout: forward/backward partial products of `tanh(v2c/2)`, each
-/// check in O(degree). `tanhs`/`fwd` are scratch of `max_check_degree`
-/// (+1 for `fwd`) entries. Bit-identical to the naive reference oracle.
-pub fn sum_product_exact(
-    offsets: &[u32],
-    check_lo: usize,
-    check_hi: usize,
-    v2c: &[f64],
-    c2v: &mut [f64],
-    tanhs: &mut [f64],
-    fwd: &mut [f64],
-) {
-    for c in check_lo..check_hi {
-        let lo = offsets[c] as usize;
-        let hi = offsets[c + 1] as usize;
-        let deg = hi - lo;
-        for (t, &m) in tanhs[..deg].iter_mut().zip(&v2c[lo..hi]) {
-            *t = if m >= TANH_SAT {
-                TANH_CLAMP
-            } else if m <= -TANH_SAT {
-                -TANH_CLAMP
-            } else {
-                (m / 2.0).tanh().clamp(-TANH_CLAMP, TANH_CLAMP)
-            };
-        }
-        fwd[0] = 1.0;
-        for j in 0..deg {
-            fwd[j + 1] = fwd[j] * tanhs[j];
-        }
-        let mut bwd = 1.0;
-        for j in (0..deg).rev() {
-            c2v[lo + j] = (2.0 * (fwd[j] * bwd).atanh()).clamp(-LLR_CLAMP, LLR_CLAMP);
-            bwd *= tanhs[j];
-        }
-    }
-}
-
 /// Tanh clamp keeping `atanh` finite in the exact sum-product update.
 pub(crate) const TANH_CLAMP: f64 = 0.999_999_999_999;
 
@@ -337,245 +306,17 @@ pub(crate) const TANH_CLAMP: f64 = 0.999_999_999_999;
 /// naive reference.
 pub(crate) const TANH_SAT: f64 = 28.5;
 
-/// Table-driven sum-product check update: per edge, one φ-table
-/// evaluation on the gather pass (`φ(|m|)`, floored at
-/// [`phi_gather_floor`] and accumulated into the check total) and one on
-/// the scatter pass (`φ(total − φ(|m_j|))`). `phis` is scratch of
-/// `max_check_degree` entries.
-///
-/// The kernel is *accuracy-tested*, not bit-identical, against
-/// [`sum_product_exact`]; see the [`PhiTable`] contract. Both message
-/// engines (`BpDecoder` and the naive reference) run this same code
-/// path, so engine bit-identity still holds under the table rule.
-pub fn sum_product_table(
-    offsets: &[u32],
-    check_lo: usize,
-    check_hi: usize,
-    phi: &PhiTable,
-    v2c: &[f64],
-    c2v: &mut [f64],
-    phis: &mut [f64],
-) {
-    let floor = phi_gather_floor();
-    for c in check_lo..check_hi {
-        let lo = offsets[c] as usize;
-        let hi = offsets[c + 1] as usize;
-        if hi - lo == 8 {
-            // Fixed-degree fast path for the paper's (4,8)-regular
-            // checks: array-typed slices drop the bounds checks from
-            // both passes.
-            let m: &[f64; 8] = v2c[lo..hi].try_into().expect("degree-8 check");
-            let out: &mut [f64; 8] = (&mut c2v[lo..hi]).try_into().expect("degree-8 check");
-            let mut a = [0.0f64; 8];
-            let mut total = 0.0f64;
-            let mut sign_prod = 1.0f64;
-            for j in 0..8 {
-                a[j] = phi.eval(m[j].abs()).max(floor);
-                total += a[j];
-                if m[j] < 0.0 {
-                    sign_prod = -sign_prod;
-                }
-            }
-            for j in 0..8 {
-                let mag = phi.eval((total - a[j]).max(0.0));
-                let sign = if m[j] < 0.0 { -sign_prod } else { sign_prod };
-                out[j] = (sign * mag).clamp(-LLR_CLAMP, LLR_CLAMP);
-            }
-            continue;
-        }
-        let deg = hi - lo;
-        let mut total = 0.0f64;
-        let mut sign_prod = 1.0f64;
-        for (p, &m) in phis[..deg].iter_mut().zip(&v2c[lo..hi]) {
-            let a = phi.eval(m.abs()).max(floor);
-            *p = a;
-            total += a;
-            if m < 0.0 {
-                sign_prod = -sign_prod;
-            }
-        }
-        for (j, &m) in (0..deg).zip(&v2c[lo..hi]) {
-            // Float cancellation can push the extrinsic φ-sum a hair
-            // below zero when one edge dominates; clamp into the domain.
-            let mag = phi.eval((total - phis[j]).max(0.0));
-            let sign = if m < 0.0 { -sign_prod } else { sign_prod };
-            c2v[lo + j] = (sign * mag).clamp(-LLR_CLAMP, LLR_CLAMP);
-        }
-    }
-}
-
-/// Normalized min-sum check update, dispatching per check to the 4-wide
-/// unrolled degree-8 fast path or the generic scalar loop. The two paths
-/// are bit-identical (min/sign arithmetic is exact in f64), so the
-/// engine-vs-oracle equivalence suite covers both.
-pub fn min_sum(
-    offsets: &[u32],
-    check_lo: usize,
-    check_hi: usize,
-    alpha: f64,
-    v2c: &[f64],
-    c2v: &mut [f64],
-) {
-    for c in check_lo..check_hi {
-        let lo = offsets[c] as usize;
-        let hi = offsets[c + 1] as usize;
-        if hi - lo == 8 {
-            min_sum_check8_slices(alpha, &v2c[lo..hi], &mut c2v[lo..hi]);
-        } else {
-            min_sum_check_scalar(alpha, &v2c[lo..hi], &mut c2v[lo..hi]);
-        }
-    }
-}
-
-/// Generic scalar min-sum over `check_lo..check_hi` — the PR-1 kernel,
-/// kept callable so the benches can measure the unrolled path against it
-/// on the same checks.
-pub fn min_sum_scalar(
-    offsets: &[u32],
-    check_lo: usize,
-    check_hi: usize,
-    alpha: f64,
-    v2c: &[f64],
-    c2v: &mut [f64],
-) {
-    for c in check_lo..check_hi {
-        let lo = offsets[c] as usize;
-        let hi = offsets[c + 1] as usize;
-        min_sum_check_scalar(alpha, &v2c[lo..hi], &mut c2v[lo..hi]);
-    }
-}
-
-/// 4-wide unrolled min-sum over `check_lo..check_hi`, all of which must
-/// have degree 8 (the paper's (4,8)-regular codes). Bit-identical to
-/// [`min_sum_scalar`] on the same input.
-///
-/// # Panics
-///
-/// Panics if any check in the range does not have degree 8.
-pub fn min_sum_unrolled8(
-    offsets: &[u32],
-    check_lo: usize,
-    check_hi: usize,
-    alpha: f64,
-    v2c: &[f64],
-    c2v: &mut [f64],
-) {
-    for c in check_lo..check_hi {
-        let lo = offsets[c] as usize;
-        let hi = offsets[c + 1] as usize;
-        assert_eq!(hi - lo, 8, "check {c} has degree {}, expected 8", hi - lo);
-        min_sum_check8_slices(alpha, &v2c[lo..hi], &mut c2v[lo..hi]);
-    }
-}
-
-/// One scalar min-sum check: track the two smallest magnitudes and the
-/// sign product; the extrinsic magnitude is min1 everywhere except at
-/// the position of min1 itself, where it is min2.
-#[inline]
-fn min_sum_check_scalar(alpha: f64, m: &[f64], out: &mut [f64]) {
-    let mut min1 = f64::INFINITY;
-    let mut min2 = f64::INFINITY;
-    let mut min1_at = 0usize;
-    let mut sign_prod = 1.0f64;
-    for (j, &v) in m.iter().enumerate() {
-        let mag = v.abs();
-        if mag < min1 {
-            min2 = min1;
-            min1 = mag;
-            min1_at = j;
-        } else if mag < min2 {
-            min2 = mag;
-        }
-        if v < 0.0 {
-            sign_prod = -sign_prod;
-        }
-    }
-    for (j, &v) in m.iter().enumerate() {
-        let mag = if j == min1_at { min2 } else { min1 };
-        let sign = if v < 0.0 { -sign_prod } else { sign_prod };
-        out[j] = (alpha * sign * mag).clamp(-LLR_CLAMP, LLR_CLAMP);
-    }
-}
-
-/// One degree-8 min-sum check, 4-wide unrolled: branch-free `min` trees
-/// replace the data-dependent two-min tracking branches, which
-/// mispredict heavily on noisy magnitudes. `min1` is the tree minimum;
-/// `min1_at` its first position (matching the scalar loop's
-/// first-strict-improvement semantics on ties); `min2` a second tree
-/// with that lane masked to +∞. All operations are exact, so the result
-/// is bit-identical to [`min_sum_check_scalar`].
-#[inline]
-fn min_sum_check8(alpha: f64, m: &[f64; 8], out: &mut [f64; 8]) {
-    let a = [
-        m[0].abs(),
-        m[1].abs(),
-        m[2].abs(),
-        m[3].abs(),
-        m[4].abs(),
-        m[5].abs(),
-        m[6].abs(),
-        m[7].abs(),
-    ];
-    // 4-wide min tree: 8 → 4 → 2 → 1.
-    let b = [
-        a[0].min(a[4]),
-        a[1].min(a[5]),
-        a[2].min(a[6]),
-        a[3].min(a[7]),
-    ];
-    let min1 = (b[0].min(b[2])).min(b[1].min(b[3]));
-    let mut min1_at = 0usize;
-    while a[min1_at] != min1 {
-        min1_at += 1;
-    }
-    let pick = |j: usize| if j == min1_at { f64::INFINITY } else { a[j] };
-    let c0 = pick(0).min(pick(4));
-    let c1 = pick(1).min(pick(5));
-    let c2 = pick(2).min(pick(6));
-    let c3 = pick(3).min(pick(7));
-    let min2 = (c0.min(c2)).min(c1.min(c3));
-    let negatives = (m[0] < 0.0) as u32
-        + (m[1] < 0.0) as u32
-        + (m[2] < 0.0) as u32
-        + (m[3] < 0.0) as u32
-        + (m[4] < 0.0) as u32
-        + (m[5] < 0.0) as u32
-        + (m[6] < 0.0) as u32
-        + (m[7] < 0.0) as u32;
-    let sign_prod = if negatives % 2 == 1 { -1.0f64 } else { 1.0f64 };
-    for j in 0..8 {
-        let mag = if j == min1_at { min2 } else { min1 };
-        let sign = if m[j] < 0.0 { -sign_prod } else { sign_prod };
-        out[j] = (alpha * sign * mag).clamp(-LLR_CLAMP, LLR_CLAMP);
-    }
-}
-
-/// Array-typed entry to [`min_sum_check8`] for slices of exactly 8.
-#[inline]
-fn min_sum_check8_slices(alpha: f64, m: &[f64], out: &mut [f64]) {
-    let m: &[f64; 8] = m.try_into().expect("degree-8 check");
-    let out: &mut [f64; 8] = out.try_into().expect("degree-8 check");
-    min_sum_check8(alpha, m, out);
-}
-
-// ---------------------------------------------------------------------
-// Inter-frame batched (lane-array) kernels.
-//
-// Each kernel below is the lane-wise generalization of its scalar
-// counterpart: messages live in structure-of-arrays layout `[edge][lane]`
-// (lane = frame), and every lane executes exactly the scalar kernel's
-// operation sequence, so each lane's output is bit-identical to a scalar
-// decode of that frame. The inner `for lane in 0..L` loops are written
-// branch-free (conditional *selects*, never arithmetic blends — a blend
-// like `m·new + (1−m)·old` would turn `-0.0` into `+0.0` and break
+// Each lane executes exactly the naive reference's operation sequence
+// (`decoder::reference`), so each lane's output is bit-identical to a
+// reference decode of that frame. The inner `for lane in 0..L` loops are
+// written branch-free (conditional *selects*, never arithmetic blends — a
+// blend like `m·new + (1−m)·old` would turn `-0.0` into `+0.0` and break
 // bit-identity) so stable-rust LLVM auto-vectorizes them over `[f64; L]`.
 
-/// Lane-array normalized min-sum over checks `check_lo..check_hi`:
-/// the batched counterpart of [`min_sum`], with `v2c`/`c2v` in
-/// `[edge][lane]` structure-of-arrays layout. Degree-8 checks take a
-/// fixed-trip-count fast path (the lane generalization of
-/// [`min_sum_unrolled8`]); every lane is bit-identical to
-/// [`min_sum_scalar`] on that lane's messages.
+/// Lane-array normalized min-sum over checks `check_lo..check_hi`, with
+/// `v2c`/`c2v` in `[edge][lane]` structure-of-arrays layout; every lane
+/// is bit-identical to the reference's two-min tracker on that lane's
+/// messages.
 pub fn min_sum_batch<const L: usize>(
     offsets: &[u32],
     check_lo: usize,
@@ -587,20 +328,14 @@ pub fn min_sum_batch<const L: usize>(
     for c in check_lo..check_hi {
         let lo = offsets[c] as usize;
         let hi = offsets[c + 1] as usize;
-        if hi - lo == 8 {
-            let m: &[[f64; L]; 8] = v2c[lo..hi].try_into().expect("degree-8 check");
-            let out: &mut [[f64; L]; 8] = (&mut c2v[lo..hi]).try_into().expect("degree-8 check");
-            min_sum_check_lanes(alpha, m, out);
-        } else {
-            min_sum_check_lanes(alpha, &v2c[lo..hi], &mut c2v[lo..hi]);
-        }
+        min_sum_check_lanes(alpha, &v2c[lo..hi], &mut c2v[lo..hi]);
     }
 }
 
 /// One lane-array min-sum check: a branch-free two-min tracker per lane.
 /// `min1_at` is carried as an exact small-integer f64 so the scatter
 /// pass's "am I the minimum position" test is a lane-wise compare; the
-/// select-based updates reproduce the scalar tracker's
+/// select-based updates reproduce the reference tracker's
 /// first-strict-improvement tie semantics exactly.
 ///
 /// `#[inline(never)]` is load-bearing: under the workspace's thin-LTO
@@ -649,13 +384,13 @@ fn min_sum_check_lanes<const L: usize>(alpha: f64, m: &[[f64; L]], out: &mut [[f
     }
 }
 
-/// Lane-array exact sum-product over checks `check_lo..check_hi`: the
-/// batched counterpart of [`sum_product_exact`], with forward/backward
-/// `tanh` partial products per lane. The per-lane `tanh`/`atanh` calls
-/// keep this kernel transcendental-bound (it does not vectorize), but
-/// every lane remains bit-identical to the scalar kernel — the batched
-/// path's contract under `CheckRule::SumProduct`. `tanhs`/`fwd` are
-/// scratch of `max_check_degree` (+1 for `fwd`) lane-array entries.
+/// Lane-array exact sum-product over checks `check_lo..check_hi`:
+/// forward/backward `tanh` partial products per lane, each check in
+/// O(degree). The per-lane `tanh`/`atanh` calls keep this kernel
+/// transcendental-bound (it does not vectorize), but every lane is
+/// bit-identical to the naive reference — the contract under
+/// `CheckRule::SumProduct`. `tanhs`/`fwd` are scratch of
+/// `max_check_degree` (+1 for `fwd`) lane-array entries.
 pub fn sum_product_exact_batch<const L: usize>(
     offsets: &[u32],
     check_lo: usize,
@@ -700,12 +435,19 @@ pub fn sum_product_exact_batch<const L: usize>(
 }
 
 /// Lane-array table-driven sum-product over checks `check_lo..check_hi`:
-/// the batched counterpart of [`sum_product_table`]. The φ-table gather
-/// is a per-lane scalar lookup (no hardware gather on stable rust), but
-/// the accumulate/scatter arithmetic around it is lane-parallel; each
-/// lane performs exactly the scalar kernel's evaluation order, so lanes
-/// are bit-identical to [`sum_product_table`]. `phis` is scratch of
-/// `max_check_degree` lane-array entries.
+/// per edge, one φ-table evaluation on the gather pass (`φ(|m|)`, floored
+/// at [`phi_gather_floor`] and accumulated into the check total) and one
+/// on the scatter pass (`φ(total − φ(|m_j|))`). The φ-table gather is a
+/// per-lane scalar lookup (no hardware gather on stable rust), but the
+/// accumulate/scatter arithmetic around it is lane-parallel. `phis` is
+/// scratch of `max_check_degree` lane-array entries; degree-8 checks keep
+/// theirs in a fixed array instead, which drops the bounds checks from
+/// both passes.
+///
+/// The kernel is *accuracy-tested*, not bit-identical, against
+/// [`sum_product_exact_batch`]; see the [`PhiTable`] contract. The
+/// decoders and the naive reference evaluate the same table in the same
+/// order, so engine bit-identity still holds under the table rule.
 pub fn sum_product_table_batch<const L: usize>(
     offsets: &[u32],
     check_lo: usize,
@@ -719,36 +461,54 @@ pub fn sum_product_table_batch<const L: usize>(
     for c in check_lo..check_hi {
         let lo = offsets[c] as usize;
         let hi = offsets[c + 1] as usize;
-        let deg = hi - lo;
-        let mut total = [0.0f64; L];
-        let mut sign_prod = [1.0f64; L];
-        for (p, mj) in phis[..deg].iter_mut().zip(&v2c[lo..hi]) {
-            for lane in 0..L {
-                let m = mj[lane];
-                let a = phi.eval(m.abs()).max(floor);
-                p[lane] = a;
-                total[lane] += a;
-                sign_prod[lane] = if m < 0.0 {
-                    -sign_prod[lane]
-                } else {
-                    sign_prod[lane]
-                };
-            }
+        if hi - lo == 8 {
+            let m: &[[f64; L]; 8] = v2c[lo..hi].try_into().expect("degree-8 check");
+            let out: &mut [[f64; L]; 8] = (&mut c2v[lo..hi]).try_into().expect("degree-8 check");
+            let mut a = [[0.0f64; L]; 8];
+            table_check_lanes(phi, floor, m, out, &mut a);
+        } else {
+            let deg = hi - lo;
+            table_check_lanes(phi, floor, &v2c[lo..hi], &mut c2v[lo..hi], &mut phis[..deg]);
         }
-        for (j, mj) in (0..deg).zip(&v2c[lo..hi]) {
-            let oj = &mut c2v[lo + j];
-            for lane in 0..L {
-                let m = mj[lane];
-                // Same domain clamp as the scalar kernel: cancellation
-                // can push the extrinsic φ-sum a hair below zero.
-                let mag = phi.eval((total[lane] - phis[j][lane]).max(0.0));
-                let sign = if m < 0.0 {
-                    -sign_prod[lane]
-                } else {
-                    sign_prod[lane]
-                };
-                oj[lane] = (sign * mag).clamp(-LLR_CLAMP, LLR_CLAMP);
-            }
+    }
+}
+
+/// One lane-array φ-table check: `phis` receives the gather values
+/// (floored at `floor`), one per edge.
+#[inline(always)]
+fn table_check_lanes<const L: usize>(
+    phi: &PhiTable,
+    floor: f64,
+    m: &[[f64; L]],
+    out: &mut [[f64; L]],
+    phis: &mut [[f64; L]],
+) {
+    let mut total = [0.0f64; L];
+    let mut sign_prod = [1.0f64; L];
+    for (p, mj) in phis.iter_mut().zip(m) {
+        for lane in 0..L {
+            let v = mj[lane];
+            let a = phi.eval(v.abs()).max(floor);
+            p[lane] = a;
+            total[lane] += a;
+            sign_prod[lane] = if v < 0.0 {
+                -sign_prod[lane]
+            } else {
+                sign_prod[lane]
+            };
+        }
+    }
+    for ((oj, mj), pj) in out.iter_mut().zip(m).zip(phis.iter()) {
+        for lane in 0..L {
+            // Float cancellation can push the extrinsic φ-sum a hair
+            // below zero when one edge dominates; clamp into the domain.
+            let mag = phi.eval((total[lane] - pj[lane]).max(0.0));
+            let sign = if mj[lane] < 0.0 {
+                -sign_prod[lane]
+            } else {
+                sign_prod[lane]
+            };
+            oj[lane] = (sign * mag).clamp(-LLR_CLAMP, LLR_CLAMP);
         }
     }
 }
@@ -763,7 +523,7 @@ pub fn sum_product_table_batch<const L: usize>(
 
 /// Batched v2c (re)initialization: `out[e] = clamp(llr[edge_var[e]])`
 /// for every edge in `edge_var`, the lane-wise channel clamp of the
-/// scalar decoders' message initialization.
+/// reference decoders' message initialization.
 #[inline(never)]
 pub fn gather_clamp_batch<const L: usize>(
     edge_var: &[u32],
@@ -925,15 +685,15 @@ mod tests {
         let floor = phi_gather_floor();
         assert!((floor - 1e-12).abs() < 1e-14, "{floor}");
         let offsets = [0u32, 8];
-        let v2c = [LLR_CLAMP; 8];
+        let v2c = [[LLR_CLAMP]; 8];
         let phi = PhiTable::new(7);
-        let mut exact = [0.0f64; 8];
-        let mut table = [0.0f64; 8];
-        let mut scratch = [0.0f64; 8];
-        let mut fwd = [0.0f64; 9];
-        sum_product_exact(&offsets, 0, 1, &v2c, &mut exact, &mut scratch, &mut fwd);
-        sum_product_table(&offsets, 0, 1, &phi, &v2c, &mut table, &mut scratch);
-        for (e, t) in exact.iter().zip(&table) {
+        let mut exact = [[0.0f64]; 8];
+        let mut table = [[0.0f64]; 8];
+        let mut scratch = [[0.0f64]; 8];
+        let mut fwd = [[0.0f64]; 9];
+        sum_product_exact_batch(&offsets, 0, 1, &v2c, &mut exact, &mut scratch, &mut fwd);
+        sum_product_table_batch(&offsets, 0, 1, &phi, &v2c, &mut table, &mut scratch);
+        for ([e], [t]) in exact.iter().zip(&table) {
             assert!((e - t).abs() < 0.05, "saturated: exact {e} vs table {t}");
         }
     }
@@ -958,49 +718,19 @@ mod tests {
     }
 
     #[test]
-    fn unrolled8_matches_scalar_bit_for_bit() {
-        let mut rng = seeded_rng(7);
-        for _ in 0..500 {
-            let m: Vec<f64> = (0..8)
-                .map(|_| (rng.gen::<f64>() - 0.5) * 2.0 * LLR_CLAMP)
-                .collect();
-            let mut fast = [0.0f64; 8];
-            let mut slow = [0.0f64; 8];
-            min_sum_check8_slices(0.8, &m, &mut fast);
-            min_sum_check_scalar(0.8, &m, &mut slow);
-            assert_eq!(fast, slow, "inputs {m:?}");
-        }
-    }
-
-    #[test]
-    fn unrolled8_handles_ties_like_scalar() {
-        for m in [
-            [1.0, -1.0, 1.0, 2.0, -2.0, 3.0, 1.0, 4.0],
-            [0.0, 0.0, 5.0, 5.0, -0.0, 2.0, 2.0, 2.0],
-            [3.0; 8],
-        ] {
-            let mut fast = [0.0f64; 8];
-            let mut slow = [0.0f64; 8];
-            min_sum_check8(0.75, &m, &mut fast);
-            min_sum_check_scalar(0.75, &m, &mut slow);
-            assert_eq!(fast, slow, "inputs {m:?}");
-        }
-    }
-
-    #[test]
     fn table_kernel_tracks_exact_kernel_on_a_check() {
         // One degree-5 check, moderate messages: the table kernel's c2v
         // must stay within a few table error bounds of the exact kernel.
         let offsets = [0u32, 5];
-        let v2c = [1.3, -0.7, 2.4, -5.0, 0.9];
-        let mut exact = [0.0f64; 5];
-        let mut table = [0.0f64; 5];
-        let mut scratch = [0.0f64; 5];
-        let mut fwd = [0.0f64; 6];
-        sum_product_exact(&offsets, 0, 1, &v2c, &mut exact, &mut scratch, &mut fwd);
+        let v2c = [[1.3], [-0.7], [2.4], [-5.0], [0.9]];
+        let mut exact = [[0.0f64]; 5];
+        let mut table = [[0.0f64]; 5];
+        let mut scratch = [[0.0f64]; 5];
+        let mut fwd = [[0.0f64]; 6];
+        sum_product_exact_batch(&offsets, 0, 1, &v2c, &mut exact, &mut scratch, &mut fwd);
         let phi = PhiTable::new(12);
-        sum_product_table(&offsets, 0, 1, &phi, &v2c, &mut table, &mut scratch);
-        for (e, t) in exact.iter().zip(&table) {
+        sum_product_table_batch(&offsets, 0, 1, &phi, &v2c, &mut table, &mut scratch);
+        for ([e], [t]) in exact.iter().zip(&table) {
             assert!((e - t).abs() < 5e-3, "exact {exact:?} vs table {table:?}");
             assert_eq!(e.signum(), t.signum(), "sign flip");
         }

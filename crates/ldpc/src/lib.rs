@@ -17,23 +17,24 @@
 //! * [`gf2`] — the dense GF(2) linear algebra behind the encoder.
 //! * [`decoder`] — flooding belief propagation over the CSR edge layout:
 //!   exact sum-product, table-driven sum-product or hardware-faithful
-//!   normalized min-sum ([`decoder::CheckRule`]), with a reusable
-//!   [`decoder::DecoderWorkspace`] so the hot decode loop performs zero
-//!   heap allocation (the original nested-`Vec` engine survives as
-//!   [`decoder::reference`], the correctness oracle).
-//! * [`kernel`] — the check-node update kernels behind every rule: the
-//!   exact `tanh`/`atanh` kernel, the φ-table kernel
+//!   normalized min-sum ([`decoder::CheckRule`]); the original
+//!   nested-`Vec` engine survives as [`decoder::reference`], the
+//!   correctness oracle.
+//! * [`kernel`] — the lane-array check-node update kernels behind every
+//!   rule: the exact `tanh`/`atanh` kernel, the φ-table kernel
 //!   ([`kernel::PhiTable`]: lookup + linear interpolation + saturation
 //!   tail, accuracy-tested rather than bit-identical) and the min-sum
-//!   kernels with a 4-wide unrolled degree-8 fast path.
+//!   kernel, with degree-8 fast paths for the paper's codes.
 //! * [`window`] — terminated coupled codes and the sliding-window decoder
-//!   of Fig. 9, with structural-latency accounting and its own reusable
-//!   [`window::WindowWorkspace`].
-//! * [`batch`] — inter-frame batched decoding: [`batch::BatchWorkspace`]
-//!   and [`batch::WindowBatchWorkspace`] hold up to 8 frames of message
-//!   state in structure-of-arrays layout so the lane-array kernels
-//!   auto-vectorize the whole decode loop, with per-lane convergence
-//!   masking keeping every lane bit-identical to the scalar decoders.
+//!   of Fig. 9, with structural-latency accounting and its nested-`Vec`
+//!   oracle [`window::reference`].
+//! * [`batch`] — the decoding engine of both schedules:
+//!   [`batch::BatchWorkspace`] and [`batch::WindowBatchWorkspace`] hold up
+//!   to 8 frames of message state in structure-of-arrays layout so the
+//!   lane-array kernels auto-vectorize the whole decode loop, with
+//!   per-lane convergence masking keeping every lane bit-identical to the
+//!   oracles; a single-frame decode is a one-lane batch, and the hot loop
+//!   performs zero heap allocation.
 //! * [`ber`] — the BER evaluation and required-Eb/N0 search subsystem:
 //!   [`ber::BerTarget`] unifies block and coupled codes behind one
 //!   object-safe Monte-Carlo surface (fanned out over all cores with
@@ -50,24 +51,21 @@
 //! runs, each of which decodes hundreds of frames. Measured on the
 //! paper's n = 200 block code at 3 dB (single core, `benches/kernels.rs`):
 //!
-//! * **Sum-product** is transcendental-bound — both engines pay the same
-//!   `tanh`/`atanh` per edge (bit-identity forbids approximating them) —
-//!   so the flat engine gains a modest ≈ 1.2× over the naive reference
-//!   (≈ 135 µs vs ≈ 156 µs per decode); a provably-exact saturation fast
-//!   path (clamped beliefs skip `tanh`) lifts the *window* decoder, whose
-//!   pinned blocks always saturate, by ≈ 1.5×.
+//! * **Sum-product** is transcendental-bound — the engine and the naive
+//!   reference pay the same `tanh`/`atanh` per edge (bit-identity forbids
+//!   approximating them) — so the flat engine gains a modest ≈ 1.2× over
+//!   the naive reference; a provably-exact saturation fast path (clamped
+//!   beliefs skip `tanh`) lifts the *window* decoder, whose pinned blocks
+//!   always saturate, by ≈ 1.5×.
 //! * **Table-driven sum-product** breaks the transcendental wall without
 //!   giving up sum-product accuracy: the φ-table kernel
 //!   ([`kernel::PhiTable`]) replaces every `tanh`/`atanh` pair with two
 //!   table interpolations and lands within 0.05 dB of the exact rule on
 //!   the paper's codes (pinned by `tests/phi_table.rs`) at a multiple of
 //!   its speed — see `docs/REPRODUCING.md` for the measured table.
-//! * **Normalized min-sum** eliminates the transcendentals: ≈ 24 µs per
-//!   decode — 1.4× the naive engine running the same min-sum rule and
-//!   **6.4×** the original sum-product decoder this refactor replaced,
-//!   while costing only a fraction of a dB (tracked by the equivalence
-//!   suite). The degree-8 checks of the paper's (4,8)-regular codes take
-//!   a 4-wide unrolled branch-free path ([`kernel::min_sum_unrolled8`]).
+//! * **Normalized min-sum** eliminates the transcendentals, at a
+//!   fraction of a dB (tracked by the equivalence suite); batching 8
+//!   frames lets its branch-free lane loops vectorize.
 //! * The BER harness fans frames out over all cores with bit-identical
 //!   results at any thread count, for a further ~core-count factor on
 //!   multi-core hosts.
@@ -109,9 +107,7 @@ pub use ber::{
     CoupledBerTarget, FrameStats, SearchConfig, SearchOutcome, SearchReport, SearchStrategy,
 };
 pub use code::{Encoder, LdpcCode};
-pub use decoder::{
-    awgn_llrs, BpConfig, BpDecoder, CheckRule, DecodeResult, DecodeStatus, DecoderWorkspace,
-};
+pub use decoder::{awgn_llrs, BpConfig, BpDecoder, CheckRule, DecodeResult, DecodeStatus};
 pub use kernel::PhiTable;
 pub use protograph::{BaseMatrix, EdgeSpreading};
-pub use window::{block_latency_bits, CoupledCode, WindowDecoder, WindowWorkspace};
+pub use window::{block_latency_bits, CoupledCode, WindowDecoder};

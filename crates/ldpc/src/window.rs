@@ -9,9 +9,9 @@
 //! window as saturated LLRs exactly as the decided-symbol feedback in
 //! Fig. 9.
 
+use crate::batch::WindowBatchWorkspace;
 use crate::code::LdpcCode;
-use crate::decoder::{update_checks, BpConfig, BpDecoder, CheckRule, LLR_CLAMP};
-use crate::kernel::PhiTable;
+use crate::decoder::{BpConfig, BpDecoder, CheckRule};
 use crate::protograph::EdgeSpreading;
 use serde::{Deserialize, Serialize};
 
@@ -119,74 +119,6 @@ pub fn block_latency_bits(lifting: usize, nv: usize, rate: f64) -> f64 {
     lifting as f64 * nv as f64 * rate
 }
 
-/// Reusable flat message state for sliding-window decoding.
-///
-/// Holds per-edge message arrays (indexed by the code's CSR edge layout),
-/// a per-check activation flag standing in for the former
-/// `Option<CheckState>` boxes, and the working LLR/posterior/decision
-/// buffers. Construct once per code shape and reuse across frames:
-/// [`WindowDecoder::decode_in_place`] then runs without heap allocation.
-#[derive(Clone, Debug, Default)]
-pub struct WindowWorkspace {
-    /// Variable-to-check message per edge.
-    v2c: Vec<f64>,
-    /// Check-to-variable message per edge.
-    c2v: Vec<f64>,
-    /// Whether each check currently holds valid persisted messages.
-    active: Vec<bool>,
-    /// Working LLRs: channel values with decided blocks pinned.
-    llr: Vec<f64>,
-    /// Posterior per variable for the current window position.
-    posterior: Vec<f64>,
-    /// Hard decisions per variable.
-    hard: Vec<bool>,
-    /// Per-check scratch: `tanh(v2c/2)` (exact sum-product) or
-    /// `φ(|v2c|)` (table rule).
-    scratch: Vec<f64>,
-    /// Sum-product scratch: forward partial products.
-    fwd: Vec<f64>,
-    /// φ lookup table (built lazily, only for the table rule).
-    phi: PhiTable,
-}
-
-impl WindowWorkspace {
-    /// Allocates buffers sized for `code`.
-    pub fn new(code: &LdpcCode) -> Self {
-        let mut ws = WindowWorkspace::default();
-        ws.ensure(code);
-        ws
-    }
-
-    /// Resizes the buffers for `code` (no-op when already sized).
-    pub fn ensure(&mut self, code: &LdpcCode) {
-        let e = code.num_edges();
-        let n = code.len();
-        let d = code.max_check_degree();
-        self.v2c.resize(e, 0.0);
-        self.c2v.resize(e, 0.0);
-        self.active.resize(code.num_checks(), false);
-        self.llr.resize(n, 0.0);
-        self.posterior.resize(n, 0.0);
-        self.hard.resize(n, false);
-        self.scratch.resize(d, 0.0);
-        self.fwd.resize(d + 1, 1.0);
-    }
-
-    /// Hard decisions of the last decode (true = bit 1).
-    pub fn hard(&self) -> &[bool] {
-        &self.hard
-    }
-
-    /// Builds rule-dependent state (the φ table) if `rule` needs it —
-    /// a no-op after the first decode with a given rule. Mirrors
-    /// [`crate::decoder::DecoderWorkspace::ensure_rule`].
-    pub fn ensure_rule(&mut self, rule: CheckRule) {
-        if let CheckRule::SumProductTable { bits } = rule {
-            self.phi.ensure(bits);
-        }
-    }
-}
-
 /// Sliding-window decoder (Fig. 9).
 ///
 /// Two message-passing schedules are provided (the scheduling question is
@@ -253,7 +185,10 @@ impl WindowDecoder {
     }
 
     /// Decodes a full received sequence of channel LLRs, sliding the window
-    /// over all `L` blocks; returns hard decisions for every code bit.
+    /// over all `L` blocks; returns hard decisions for every code bit. A
+    /// one-lane [`decode_batch`](WindowDecoder::decode_batch) with a fresh
+    /// workspace: Monte-Carlo loops should prefer `decode_batch` with a
+    /// reused [`WindowBatchWorkspace`].
     ///
     /// The window at target block `t` spans variable blocks
     /// `t .. min(t+W, L)` plus the `mcc` previously decided blocks (pinned
@@ -265,29 +200,17 @@ impl WindowDecoder {
     /// Panics if the LLR length does not match the code or if
     /// `window < mcc + 1` (the window cannot cover a check's neighborhood).
     pub fn decode(&self, code: &CoupledCode, channel_llr: &[f64]) -> Vec<bool> {
-        let mut ws = WindowWorkspace::new(code.code());
-        self.decode_in_place(&mut ws, code, channel_llr);
-        ws.hard.clone()
+        let mut ws = WindowBatchWorkspace::new(code.code(), 1);
+        ws.set_lane_llr(0, channel_llr);
+        self.decode_batch(&mut ws, code);
+        (0..code.code().len()).map(|v| ws.hard_bit(v, 0)).collect()
     }
 
-    /// Decodes entirely inside `ws` — no heap allocation when the
-    /// workspace is already sized for the code. Read the decisions from
-    /// [`WindowWorkspace::hard`].
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`decode`](WindowDecoder::decode) does.
-    pub fn decode_in_place(
-        &self,
-        ws: &mut WindowWorkspace,
-        code: &CoupledCode,
-        channel_llr: &[f64],
-    ) {
-        let n = code.code().len();
-        assert_eq!(channel_llr.len(), n, "LLR length mismatch");
-        // All fields are public, so re-check the rule here: with_rule
-        // gates the builder path, but direct mutation must not silently
-        // corrupt every message.
+    /// Panics unless the decoder can run on `code`: a valid check rule
+    /// (all fields are public, so direct mutation bypasses
+    /// [`with_rule`](WindowDecoder::with_rule)) and a window wider than
+    /// the coupling memory.
+    pub(crate) fn validate_for(&self, code: &CoupledCode) {
         self.check_rule.validate();
         let mcc = code.memory();
         assert!(
@@ -295,106 +218,17 @@ impl WindowDecoder {
             "window {} must exceed the coupling memory {mcc}",
             self.window
         );
-        let l = code.num_blocks();
-        let block_checks = code.block_checks();
-        ws.ensure(code.code());
-        ws.ensure_rule(self.check_rule);
-
-        // Working LLRs: raw channel values, with decided blocks overwritten
-        // by saturated pins. Future blocks always enter the window with
-        // their *raw* channel LLRs — feeding posteriors forward as priors
-        // would double-count evidence and entrench errors. New information
-        // instead flows through the retained extrinsic messages.
-        ws.llr.copy_from_slice(channel_llr);
-        ws.hard.fill(false);
-        // Persistent per-check message state (ref [19] scheduling).
-        ws.active.fill(false);
-
-        for t in 0..l {
-            // Check rows t..min(t+W, L+mcc): each check row block i touches
-            // variable blocks max(0, i−mcc)..=min(i, L−1), all inside the
-            // window span [t−mcc, t+W).
-            let check_lo = t * block_checks;
-            let check_hi = ((t + self.window).min(l + mcc)) * block_checks;
-
-            if !self.reuse_messages {
-                ws.active[check_lo..check_hi].fill(false);
-            }
-            self.window_bp(code.code(), check_lo, check_hi, ws);
-
-            // Decide and pin the target block only.
-            for v in code.block_range(t) {
-                ws.hard[v] = ws.posterior[v] < 0.0;
-                ws.llr[v] = if ws.hard[v] { -LLR_CLAMP } else { LLR_CLAMP };
-            }
-        }
     }
 
-    /// Runs flooding BP restricted to the contiguous check range
-    /// `check_lo..check_hi` over the workspace's channel/pinned LLRs,
-    /// continuing from persisted messages; leaves the full posterior
-    /// vector in `ws.posterior` (entries outside the active checks'
-    /// neighborhood equal the working LLRs).
-    fn window_bp(
-        &self,
-        code: &LdpcCode,
-        check_lo: usize,
-        check_hi: usize,
-        ws: &mut WindowWorkspace,
-    ) {
-        let offsets = code.check_edge_offsets();
-        let edge_var = code.edge_vars();
-
-        // Activate newly entered checks: v2c from the current working
-        // LLRs, c2v cleared.
-        for c in check_lo..check_hi {
-            if !ws.active[c] {
-                ws.active[c] = true;
-                let lo = offsets[c] as usize;
-                let hi = offsets[c + 1] as usize;
-                #[allow(clippy::needless_range_loop)] // e indexes edge_var, v2c and c2v in lockstep
-                for e in lo..hi {
-                    ws.v2c[e] = ws.llr[edge_var[e] as usize].clamp(-LLR_CLAMP, LLR_CLAMP);
-                    ws.c2v[e] = 0.0;
-                }
-            }
-        }
-        let edge_lo = offsets[check_lo] as usize;
-        let edge_hi = offsets[check_hi] as usize;
-
-        // Seed the posterior from the working LLRs so a zero-iteration
-        // decoder (the constructors forbid it, but the field is public)
-        // degrades to channel hard decisions instead of reading stale
-        // workspace state.
-        ws.posterior.copy_from_slice(&ws.llr);
-
-        for _ in 0..self.iterations {
-            update_checks(
-                offsets,
-                check_lo,
-                check_hi,
-                self.check_rule,
-                &ws.phi,
-                &ws.v2c,
-                &mut ws.c2v,
-                &mut ws.scratch,
-                &mut ws.fwd,
-            );
-            // Posterior: channel plus all incoming active check messages.
-            ws.posterior.copy_from_slice(&ws.llr);
-            for (&v, &m) in edge_var[edge_lo..edge_hi]
-                .iter()
-                .zip(&ws.c2v[edge_lo..edge_hi])
-            {
-                ws.posterior[v as usize] += m;
-            }
-            // Variable-to-check messages: extrinsic posterior.
-            #[allow(clippy::needless_range_loop)] // e indexes edge_var, v2c and c2v in lockstep
-            for e in edge_lo..edge_hi {
-                ws.v2c[e] =
-                    (ws.posterior[edge_var[e] as usize] - ws.c2v[e]).clamp(-LLR_CLAMP, LLR_CLAMP);
-            }
-        }
+    /// The contiguous check range `check_lo..check_hi` active while the
+    /// window targets block `t`: check rows `t..min(t+W, L+mcc)`. Each
+    /// check row block `i` touches variable blocks
+    /// `max(0, i−mcc)..=min(i, L−1)`, all inside the window span
+    /// `[t−mcc, t+W)`.
+    pub(crate) fn check_range(&self, code: &CoupledCode, t: usize) -> (usize, usize) {
+        let block_checks = code.block_checks();
+        let end = (t + self.window).min(code.num_blocks() + code.memory());
+        (t * block_checks, end * block_checks)
     }
 }
 
@@ -409,6 +243,100 @@ pub fn full_bp_decode(code: &CoupledCode, channel_llr: &[f64], iterations: usize
         },
     );
     decoder.decode(channel_llr).hard
+}
+
+/// The unoptimized nested-`Vec` window decoder, retained as the
+/// correctness oracle for the lane-batched engine
+/// ([`WindowDecoder::decode_batch`]).
+///
+/// Like [`crate::decoder::reference`] it allocates per-check message
+/// vectors and runs the Fig. 9 schedule in the plainest form, through the
+/// same naive per-check update
+/// ([`crate::decoder::reference`]'s `check_update`), so the two oracles
+/// share one copy of the check numerics. `tests/batch_equivalence.rs`
+/// asserts that every lane of the engine reproduces its decisions bit for
+/// bit under every [`CheckRule`], at every lane width.
+pub mod reference {
+    use super::{CoupledCode, WindowDecoder};
+    use crate::decoder::reference::{check_update, rule_table};
+    use crate::decoder::LLR_CLAMP;
+
+    /// Window-decodes `channel_llr` with the naive nested-`Vec` engine and
+    /// returns hard decisions for every code bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`WindowDecoder::decode`] does.
+    pub fn decode(decoder: &WindowDecoder, code: &CoupledCode, channel_llr: &[f64]) -> Vec<bool> {
+        let n = code.code().len();
+        assert_eq!(channel_llr.len(), n, "LLR length mismatch");
+        decoder.validate_for(code);
+        let lifted = code.code();
+        let n_checks = lifted.num_checks();
+        let phi = rule_table(decoder.check_rule);
+
+        // Working LLRs: raw channel values, with decided blocks overwritten
+        // by saturated pins. Future blocks always enter the window with
+        // their *raw* channel LLRs — feeding posteriors forward as priors
+        // would double-count evidence and entrench errors. New information
+        // instead flows through the retained extrinsic messages.
+        let mut llr = channel_llr.to_vec();
+        let mut hard = vec![false; n];
+        let mut v2c: Vec<Vec<f64>> = (0..n_checks)
+            .map(|c| vec![0.0; lifted.check_neighbors(c).len()])
+            .collect();
+        let mut c2v = v2c.clone();
+        // Whether each check holds valid persisted messages (ref [19]
+        // scheduling).
+        let mut active = vec![false; n_checks];
+
+        for t in 0..code.num_blocks() {
+            let (check_lo, check_hi) = decoder.check_range(code, t);
+            if !decoder.reuse_messages {
+                active[check_lo..check_hi].fill(false);
+            }
+            // Activate newly entered checks: v2c from the current working
+            // LLRs, c2v cleared.
+            for c in check_lo..check_hi {
+                if !active[c] {
+                    active[c] = true;
+                    for (j, &v) in lifted.check_neighbors(c).iter().enumerate() {
+                        v2c[c][j] = llr[v as usize].clamp(-LLR_CLAMP, LLR_CLAMP);
+                        c2v[c][j] = 0.0;
+                    }
+                }
+            }
+
+            // Flooding BP over the active checks, continuing from the
+            // persisted messages. Entries outside the active checks'
+            // neighborhood keep the working LLRs.
+            let mut posterior = llr.clone();
+            for _ in 0..decoder.iterations {
+                for c in check_lo..check_hi {
+                    check_update(decoder.check_rule, phi.as_ref(), &v2c[c], &mut c2v[c]);
+                }
+                posterior.copy_from_slice(&llr);
+                for (c, c2v_c) in c2v.iter().enumerate().take(check_hi).skip(check_lo) {
+                    for (&v, &m) in lifted.check_neighbors(c).iter().zip(c2v_c) {
+                        posterior[v as usize] += m;
+                    }
+                }
+                for c in check_lo..check_hi {
+                    for (j, &v) in lifted.check_neighbors(c).iter().enumerate() {
+                        v2c[c][j] =
+                            (posterior[v as usize] - c2v[c][j]).clamp(-LLR_CLAMP, LLR_CLAMP);
+                    }
+                }
+            }
+
+            // Decide and pin the target block only.
+            for v in code.block_range(t) {
+                hard[v] = posterior[v] < 0.0;
+                llr[v] = if hard[v] { -LLR_CLAMP } else { LLR_CLAMP };
+            }
+        }
+        hard
+    }
 }
 
 #[cfg(test)]

@@ -1,14 +1,18 @@
-//! Property tests pinning the inter-frame batched decoders to the scalar
-//! paths **bit for bit**: random block and coupled codes, all four check
-//! rules, lane counts {1, 4, 8}, ragged tails (frame counts not divisible
-//! by the batch width) and mixed-convergence batches where lanes stop at
-//! different iterations.
+//! Property tests pinning the lane-batched decoders — the only BP and
+//! window engines — to the naive oracles **bit for bit**: random block
+//! and coupled codes, all four check rules, lane counts {1, 2, 4, 8},
+//! ragged tails (frame counts not divisible by the batch width),
+//! mixed-convergence batches where lanes stop at different iterations,
+//! and batches that take the straggler bail-out.
 
 use proptest::prelude::*;
 use wi_ldpc::batch::{BatchWorkspace, WindowBatchWorkspace};
-use wi_ldpc::ber::{BerTarget, BerWorkspace, BlockBerTarget, CoupledBerTarget};
-use wi_ldpc::decoder::{BpConfig, BpDecoder, CheckRule, DecoderWorkspace};
-use wi_ldpc::window::{CoupledCode, WindowDecoder, WindowWorkspace};
+use wi_ldpc::ber::{
+    ebn0_db_to_sigma, fill_frame_llrs, BerTarget, BerWorkspace, BlockBerTarget, CoupledBerTarget,
+    FrameStats,
+};
+use wi_ldpc::decoder::{reference, BpConfig, BpDecoder, CheckRule, DecodeResult};
+use wi_ldpc::window::{self, CoupledCode, WindowDecoder};
 use wi_ldpc::LdpcCode;
 use wi_num::rng::{seeded_rng, Gaussian};
 
@@ -32,22 +36,69 @@ fn rule_from_selector(selector: u8) -> CheckRule {
     }
 }
 
-/// The lane counts the satellite pins: scalar-width, half and full batch.
+/// A decode result with its posteriors as raw bit patterns, so that
+/// comparing two of them tells `-0.0` from `+0.0`.
+fn result_bits(r: &DecodeResult) -> (usize, bool, Vec<bool>, Vec<u64>) {
+    let posterior = r.posterior.iter().map(|p| p.to_bits()).collect();
+    (r.iterations, r.converged, r.hard.clone(), posterior)
+}
+
+/// Every lane count the engine is compiled for.
 fn lanes_from_selector(selector: u8) -> usize {
-    [1, 4, 8][selector as usize % 3]
+    [1, 2, 4, 8][selector as usize % 4]
+}
+
+/// The oracle's fold of frames `frames` of a target: each frame's LLRs
+/// from [`fill_frame_llrs`], decoded by `decode` into hard decisions.
+fn reference_fold(
+    n: usize,
+    sigma: f64,
+    seed: u64,
+    frames: std::ops::Range<u64>,
+    decode: impl Fn(&[f64]) -> Vec<bool>,
+) -> FrameStats {
+    let mut llr = vec![0.0; n];
+    let mut stats = FrameStats::default();
+    for frame in frames {
+        fill_frame_llrs(&mut llr, sigma, seed, frame);
+        let errors = decode(&llr).iter().filter(|&&b| b).count() as u64;
+        stats.push_frame(n as u64, errors);
+    }
+    stats
+}
+
+/// Decodes `frames` as one batch and asserts every lane's status,
+/// posterior bits and hard bits against `reference::decode`.
+fn assert_batch_matches_reference(decoder: &BpDecoder<'_>, frames: &[Vec<f64>]) {
+    let code = decoder.code();
+    let mut bws = BatchWorkspace::new(code, frames.len());
+    for (lane, llr) in frames.iter().enumerate() {
+        bws.set_lane_llr(lane, llr);
+    }
+    decoder.decode_batch(&mut bws);
+    let rule = decoder.config().check_rule;
+    for (lane, llr) in frames.iter().enumerate() {
+        let want = reference::decode(code, decoder.config(), llr);
+        let got = bws.lane_result(lane);
+        assert_eq!(
+            result_bits(&got),
+            result_bits(&want),
+            "{rule:?} lane {lane}"
+        );
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn batched_bp_matches_scalar_per_lane(
+    fn batched_bp_matches_reference_per_lane(
         lifting in 8usize..32,
         code_seed in 0u64..1000,
         noise_seed in 0u64..1000,
         sigma in 0.5f64..1.2,
         rule_selector in 0u8..4,
-        lanes_selector in 0u8..3,
+        lanes_selector in 0u8..4,
     ) {
         let code = LdpcCode::paper_block(lifting, code_seed);
         let config = BpConfig {
@@ -66,33 +117,31 @@ proptest! {
         }
         decoder.decode_batch(&mut bws);
 
-        let mut ws = DecoderWorkspace::new(&code);
         for (lane, llr) in frames.iter().enumerate() {
-            let status = decoder.decode_in_place(&mut ws, llr);
-            prop_assert_eq!(bws.status(lane), status);
-            for v in 0..code.len() {
-                prop_assert_eq!(bws.hard_bit(v, lane), ws.hard()[v]);
-                prop_assert_eq!(
-                    bws.posterior_at(v, lane).to_bits(),
-                    ws.posterior()[v].to_bits()
-                );
-            }
+            let want = reference::decode(&code, config, llr);
+            // Bit-identical: same decisions, same posterior bits, same
+            // iteration count and convergence flag.
+            prop_assert_eq!(result_bits(&bws.lane_result(lane)), result_bits(&want));
         }
     }
 
     #[test]
-    fn batched_window_matches_scalar_per_lane(
+    fn batched_window_matches_reference_per_lane(
         lifting in 6usize..16,
         term_length in 4usize..9,
         code_seed in 0u64..500,
         noise_seed in 0u64..500,
         sigma in 0.6f64..1.1,
         rule_selector in 0u8..4,
-        lanes_selector in 0u8..3,
+        lanes_selector in 0u8..4,
         window in 3usize..5,
+        reuse_selector in 0u8..2,
     ) {
         let code = CoupledCode::paper_cc(lifting, term_length, code_seed);
-        let decoder = WindowDecoder::new(window, 8).with_rule(rule_from_selector(rule_selector));
+        let decoder = WindowDecoder {
+            reuse_messages: reuse_selector == 1,
+            ..WindowDecoder::new(window, 8).with_rule(rule_from_selector(rule_selector))
+        };
         let lanes = lanes_from_selector(lanes_selector);
 
         let frames: Vec<Vec<f64>> = (0..lanes)
@@ -104,58 +153,61 @@ proptest! {
         }
         decoder.decode_batch(&mut bws, &code);
 
-        let mut ws = WindowWorkspace::new(code.code());
         for (lane, llr) in frames.iter().enumerate() {
-            decoder.decode_in_place(&mut ws, &code, llr);
-            for v in 0..code.code().len() {
-                prop_assert_eq!(bws.hard_bit(v, lane), ws.hard()[v]);
+            let want = window::reference::decode(&decoder, &code, llr);
+            for (v, &bit) in want.iter().enumerate() {
+                prop_assert_eq!(bws.hard_bit(v, lane), bit);
             }
         }
     }
 
     #[test]
-    fn batched_block_target_matches_scalar_across_ragged_ranges(
+    fn batched_block_target_matches_reference_across_ragged_ranges(
         lifting in 8usize..24,
         code_seed in 0u64..500,
         seed in 0u64..1000,
         ebn0_db in 1.0f64..4.0,
         first in 0u64..10,
         count in 1u64..21,
-        lanes_selector in 0u8..3,
+        lanes_selector in 0u8..4,
     ) {
         // Target-level ragged tails: frame ranges deliberately not a
-        // multiple of the batch width must produce the same FrameStats
-        // fold as the scalar (batch-1) target, frame for frame.
+        // multiple of the batch width must produce the oracle's
+        // FrameStats fold, frame for frame.
         let code = LdpcCode::paper_block(lifting, code_seed);
         let config = BpConfig { max_iterations: 25, ..BpConfig::default() };
         let lanes = lanes_from_selector(lanes_selector);
-        let batched = BlockBerTarget::new(&code, config, 0.5).with_batch(lanes);
-        let scalar = BlockBerTarget::new(&code, config, 0.5).with_batch(1);
+        let target = BlockBerTarget::new(&code, config, 0.5).with_batch(lanes);
         let mut ws = BerWorkspace::new();
         let frames = first..first + count;
-        let got = batched.eval_frames(&mut ws, ebn0_db, seed, frames.clone());
-        let want = scalar.eval_frames(&mut ws, ebn0_db, seed, frames);
+        let got = target.eval_frames(&mut ws, ebn0_db, seed, frames.clone());
+        let sigma = ebn0_db_to_sigma(ebn0_db, 0.5);
+        let want = reference_fold(code.len(), sigma, seed, frames, |llr| {
+            reference::decode(&code, config, llr).hard
+        });
         prop_assert_eq!(got, want);
     }
 
     #[test]
-    fn batched_coupled_target_matches_scalar_across_ragged_ranges(
+    fn batched_coupled_target_matches_reference_across_ragged_ranges(
         lifting in 6usize..14,
         term_length in 4usize..8,
         code_seed in 0u64..500,
         seed in 0u64..1000,
         ebn0_db in 1.0f64..4.0,
         count in 1u64..14,
-        lanes_selector in 0u8..3,
+        lanes_selector in 0u8..4,
     ) {
         let code = CoupledCode::paper_cc(lifting, term_length, code_seed);
         let decoder = WindowDecoder::new(3, 8).with_rule(CheckRule::min_sum());
         let lanes = lanes_from_selector(lanes_selector);
-        let batched = CoupledBerTarget::new(&code, decoder).with_batch(lanes);
-        let scalar = CoupledBerTarget::new(&code, decoder).with_batch(1);
+        let target = CoupledBerTarget::new(&code, decoder).with_batch(lanes);
         let mut ws = BerWorkspace::new();
-        let got = batched.eval_frames(&mut ws, ebn0_db, seed, 0..count);
-        let want = scalar.eval_frames(&mut ws, ebn0_db, seed, 0..count);
+        let got = target.eval_frames(&mut ws, ebn0_db, seed, 0..count);
+        let sigma = ebn0_db_to_sigma(ebn0_db, code.design_rate());
+        let want = reference_fold(code.code().len(), sigma, seed, 0..count, |llr| {
+            window::reference::decode(&decoder, &code, llr)
+        });
         prop_assert_eq!(got, want);
     }
 
@@ -181,21 +233,18 @@ proptest! {
         let mut shared = BatchWorkspace::new(&code_a, 4);
         shared.set_lane_llr(0, &llr_a);
         dec_a.decode_batch(&mut shared);
-        let first: Vec<bool> = (0..code_a.len()).map(|v| shared.hard_bit(v, 0)).collect();
+        let first = result_bits(&shared.lane_result(0));
         shared.ensure(&code_b, 8);
         shared.set_lane_llr(7, &llr_b);
         dec_b.decode_batch(&mut shared);
-        let mut ws = DecoderWorkspace::new(&code_b);
-        dec_b.decode_in_place(&mut ws, &llr_b);
-        for v in 0..code_b.len() {
-            prop_assert_eq!(shared.hard_bit(v, 7), ws.hard()[v]);
-        }
+        prop_assert_eq!(
+            result_bits(&shared.lane_result(7)),
+            result_bits(&reference::decode(&code_b, config, &llr_b))
+        );
         shared.ensure(&code_a, 4);
         shared.set_lane_llr(0, &llr_a);
         dec_a.decode_batch(&mut shared);
-        for (v, &bit) in first.iter().enumerate() {
-            prop_assert_eq!(shared.hard_bit(v, 0), bit);
-        }
+        prop_assert_eq!(result_bits(&shared.lane_result(0)), first);
     }
 }
 
@@ -219,30 +268,58 @@ fn mixed_convergence_batches_freeze_lanes_independently() {
         let frames: Vec<Vec<f64>> = (0..8)
             .map(|lane| noisy_zero_llrs(code.len(), 0.95, 9_000 + lane))
             .collect();
-        let mut bws = BatchWorkspace::new(&code, 8);
-        for (lane, llr) in frames.iter().enumerate() {
-            bws.set_lane_llr(lane, llr);
-        }
-        decoder.decode_batch(&mut bws);
+        assert_batch_matches_reference(&decoder, &frames);
 
-        let mut ws = DecoderWorkspace::new(&code);
-        let mut iteration_counts = std::collections::BTreeSet::new();
-        for (lane, llr) in frames.iter().enumerate() {
-            let status = decoder.decode_in_place(&mut ws, llr);
-            iteration_counts.insert(status.iterations);
-            assert_eq!(bws.status(lane), status, "{rule:?} lane {lane}");
-            for v in 0..code.len() {
-                assert_eq!(
-                    bws.posterior_at(v, lane).to_bits(),
-                    ws.posterior()[v].to_bits(),
-                    "{rule:?} lane {lane} var {v}"
-                );
-            }
-        }
+        let iteration_counts: std::collections::BTreeSet<usize> = frames
+            .iter()
+            .map(|llr| reference::decode(&code, config, llr).iterations)
+            .collect();
         assert!(
             iteration_counts.len() >= 2,
             "{rule:?}: all lanes stopped at the same iteration \
              ({iteration_counts:?}) — the masking rule went unexercised"
         );
+    }
+}
+
+#[test]
+fn straggler_bail_out_matches_reference() {
+    // Clean lanes (every LLR +4.0) satisfy the syndrome before the first
+    // iteration, so with at most 2 noisy lanes of 8, active·3 < 8 and the
+    // bail-out re-decodes the noisy lanes alone before iteration 1.
+    let code = LdpcCode::paper_block(20, 77);
+    let clean = vec![4.0; code.len()];
+    for rule in [
+        CheckRule::SumProduct,
+        CheckRule::min_sum(),
+        CheckRule::sum_product_table(),
+    ] {
+        let config = BpConfig {
+            max_iterations: 40,
+            check_rule: rule,
+        };
+        let decoder = BpDecoder::new(&code, config);
+        for noisy_lanes in [vec![5usize], vec![2, 6]] {
+            let frames: Vec<Vec<f64>> = (0..8)
+                .map(|lane| {
+                    if noisy_lanes.contains(&lane) {
+                        noisy_zero_llrs(code.len(), 0.95, 7_000 + lane as u64)
+                    } else {
+                        clean.clone()
+                    }
+                })
+                .collect();
+            // The bail-out precondition: clean lanes converge at
+            // iteration 0, noisy lanes need at least one iteration.
+            for (lane, llr) in frames.iter().enumerate() {
+                let iterations = reference::decode(&code, config, llr).iterations;
+                assert_eq!(
+                    iterations > 0,
+                    noisy_lanes.contains(&lane),
+                    "{rule:?} lane {lane}: {iterations} iterations"
+                );
+            }
+            assert_batch_matches_reference(&decoder, &frames);
+        }
     }
 }

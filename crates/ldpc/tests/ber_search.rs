@@ -100,10 +100,9 @@ fn bisection_strategy_reproduces_the_closure_ladder() {
 
 /// A fig10 `--quick`-style search (same seed, frame budget, tolerance
 /// and grid as the CI smoke preset, on miniature codes) must report
-/// byte-identically at every batch width: the batch-1 target is the
-/// pre-batching scalar path, so this is the regression pin that
-/// inter-frame batching left every probe, frame count and estimate of
-/// the search untouched.
+/// byte-identically at every batch width: every width runs the same lane
+/// engine, so this pins that the lane count never leaks into a probe,
+/// frame count or estimate of the search.
 #[test]
 fn search_report_is_invariant_under_batch_width() {
     let opts = BerSimOptions {
@@ -123,7 +122,7 @@ fn search_report_is_invariant_under_batch_width() {
 
     let cc = CoupledCode::paper_cc(12, 8, 0xCC0C);
     let wd = WindowDecoder::new(3, 10).with_rule(wi_ldpc::decoder::CheckRule::min_sum());
-    let cc_scalar = search_required_ebn0_with_threads(
+    let cc_single = search_required_ebn0_with_threads(
         &CoupledBerTarget::new(&cc, wd).with_batch(1),
         1e-2,
         &opts,
@@ -135,7 +134,7 @@ fn search_report_is_invariant_under_batch_width() {
         check_rule: wi_ldpc::decoder::CheckRule::min_sum(),
         ..BpConfig::default()
     };
-    let bc_scalar = search_required_ebn0_with_threads(
+    let bc_single = search_required_ebn0_with_threads(
         &BlockBerTarget::new(&bc, config, 0.5).with_batch(1),
         1e-2,
         &opts,
@@ -150,7 +149,7 @@ fn search_report_is_invariant_under_batch_width() {
             &search,
             1,
         );
-        assert_eq!(cc_scalar, cc_batched, "batch {batch} changed the CC search");
+        assert_eq!(cc_single, cc_batched, "batch {batch} changed the CC search");
         let bc_batched = search_required_ebn0_with_threads(
             &BlockBerTarget::new(&bc, config, 0.5).with_batch(batch),
             1e-2,
@@ -158,7 +157,7 @@ fn search_report_is_invariant_under_batch_width() {
             &search,
             1,
         );
-        assert_eq!(bc_scalar, bc_batched, "batch {batch} changed the BC search");
+        assert_eq!(bc_single, bc_batched, "batch {batch} changed the BC search");
     }
 }
 

@@ -1,10 +1,12 @@
-//! Property tests pinning the flat CSR message-passing engine to the
-//! retained naive reference decoder, and the parallel BER harness to its
-//! serial path — all bit for bit, not approximately.
+//! Property tests pinning the flat CSR message-passing engine (through
+//! `BpDecoder::decode`) to the retained naive reference decoder, and the
+//! parallel BER harness to its serial path — all bit for bit, not
+//! approximately.
 
 use proptest::prelude::*;
+use wi_ldpc::batch::BatchWorkspace;
 use wi_ldpc::ber::{simulate_ber_with_threads, BerSimOptions, BlockBerTarget, CoupledBerTarget};
-use wi_ldpc::decoder::{reference, BpConfig, BpDecoder, CheckRule, DecoderWorkspace};
+use wi_ldpc::decoder::{reference, BpConfig, BpDecoder, CheckRule};
 use wi_ldpc::protograph::EdgeSpreading;
 use wi_ldpc::window::CoupledCode;
 use wi_ldpc::LdpcCode;
@@ -91,12 +93,18 @@ proptest! {
         let config = BpConfig::default();
         let llr_a = noisy_zero_llrs(code_a.len(), 0.8, noise_seed);
         let llr_b = noisy_zero_llrs(code_b.len(), 0.8, noise_seed ^ 1);
-        let mut shared = DecoderWorkspace::new(&code_a);
+        let mut shared = BatchWorkspace::new(&code_a, 1);
         let dec_a = BpDecoder::new(&code_a, config);
         let dec_b = BpDecoder::new(&code_b, config);
-        let a_shared = dec_a.decode_with(&mut shared, &llr_a);
-        let b_shared = dec_b.decode_with(&mut shared, &llr_b);
-        let a_again = dec_a.decode_with(&mut shared, &llr_a);
+        let mut decode_shared = |decoder: &BpDecoder<'_>, llr: &[f64]| {
+            shared.ensure(decoder.code(), 1);
+            shared.set_lane_llr(0, llr);
+            decoder.decode_batch(&mut shared);
+            shared.lane_result(0)
+        };
+        let a_shared = decode_shared(&dec_a, &llr_a);
+        let b_shared = decode_shared(&dec_b, &llr_b);
+        let a_again = decode_shared(&dec_a, &llr_a);
         prop_assert_eq!(&a_shared, &dec_a.decode(&llr_a));
         prop_assert_eq!(&b_shared, &dec_b.decode(&llr_b));
         prop_assert_eq!(&a_again, &a_shared);
@@ -155,14 +163,13 @@ fn min_sum_converges_on_the_paper_codes() {
                 check_rule: CheckRule::min_sum(),
             },
         );
-        let mut ws = DecoderWorkspace::new(&code);
         let sigma = 0.62; // ≈ 4.1 dB Eb/N0 at rate 1/2: inside the waterfall
         let mut converged = 0;
         let total = 20;
         for frame in 0..total {
             let llr = noisy_zero_llrs(code.len(), sigma, 3_000 + frame);
-            let status = decoder.decode_in_place(&mut ws, &llr);
-            if status.converged && ws.hard().iter().all(|&b| !b) {
+            let result = decoder.decode(&llr);
+            if result.converged && result.hard.iter().all(|&b| !b) {
                 converged += 1;
             }
         }

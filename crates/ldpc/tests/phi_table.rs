@@ -19,7 +19,7 @@ use wi_ldpc::ber::{
 };
 use wi_ldpc::decoder::{BpConfig, CheckRule};
 use wi_ldpc::kernel::{
-    min_sum_unrolled8, phi_exact, sum_product_exact, sum_product_table, PhiTable, PHI_X_MAX,
+    phi_exact, sum_product_exact_batch, sum_product_table_batch, PhiTable, PHI_X_MAX,
 };
 use wi_ldpc::window::{CoupledCode, WindowDecoder};
 use wi_ldpc::LdpcCode;
@@ -28,6 +28,43 @@ use wi_num::rng::seeded_rng;
 /// The `bits` settings the property tests sweep: a coarse table, the
 /// default (7), and finer ones.
 const BITS_SWEEP: [u32; 4] = [3, 5, 7, 9];
+
+/// One check through the one-lane φ-table kernel.
+fn table_check(table: &PhiTable, v2c: &[f64]) -> Vec<f64> {
+    let deg = v2c.len();
+    let lanes: Vec<[f64; 1]> = v2c.iter().map(|&m| [m]).collect();
+    let mut out = vec![[0.0f64]; deg];
+    let mut scratch = vec![[0.0f64]; deg];
+    sum_product_table_batch(
+        &[0, deg as u32],
+        0,
+        1,
+        table,
+        &lanes,
+        &mut out,
+        &mut scratch,
+    );
+    out.into_iter().map(|[m]| m).collect()
+}
+
+/// One check through the one-lane exact `tanh`/`atanh` kernel.
+fn exact_check(v2c: &[f64]) -> Vec<f64> {
+    let deg = v2c.len();
+    let lanes: Vec<[f64; 1]> = v2c.iter().map(|&m| [m]).collect();
+    let mut out = vec![[0.0f64]; deg];
+    let mut scratch = vec![[0.0f64]; deg];
+    let mut fwd = vec![[0.0f64]; deg + 1];
+    sum_product_exact_batch(
+        &[0, deg as u32],
+        0,
+        1,
+        &lanes,
+        &mut out,
+        &mut scratch,
+        &mut fwd,
+    );
+    out.into_iter().map(|[m]| m).collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -95,12 +132,8 @@ proptest! {
             .collect();
         let mut flipped = v2c.clone();
         flipped[flip] = -flipped[flip];
-        let offsets = [0u32, deg as u32];
-        let mut out = vec![0.0f64; deg];
-        let mut out_flip = vec![0.0f64; deg];
-        let mut scratch = vec![0.0f64; deg];
-        sum_product_table(&offsets, 0, 1, &table, &v2c, &mut out, &mut scratch);
-        sum_product_table(&offsets, 0, 1, &table, &flipped, &mut out_flip, &mut scratch);
+        let out = table_check(&table, &v2c);
+        let out_flip = table_check(&table, &flipped);
         for (j, (&o, &f)) in out.iter().zip(&out_flip).enumerate() {
             let expect = if j == flip { o } else { -o };
             prop_assert!(f == expect, "edge {} of {:?}: {} vs {}", j, &v2c, o, f);
@@ -127,13 +160,8 @@ proptest! {
                 if rng.gen::<f64>() < 0.5 { -mag } else { mag }
             })
             .collect();
-        let offsets = [0u32, deg as u32];
-        let mut exact = vec![0.0f64; deg];
-        let mut approx = vec![0.0f64; deg];
-        let mut scratch = vec![0.0f64; deg];
-        let mut fwd = vec![0.0f64; deg + 1];
-        sum_product_exact(&offsets, 0, 1, &v2c, &mut exact, &mut scratch, &mut fwd);
-        sum_product_table(&offsets, 0, 1, &table, &v2c, &mut approx, &mut scratch);
+        let exact = exact_check(&v2c);
+        let approx = table_check(&table, &v2c);
         for (j, (&e, &t)) in exact.iter().zip(&approx).enumerate() {
             // Extrinsic φ-sums: what the kernel computed (table) and the
             // true value (exact φ), plus the total gather error budget.
@@ -168,33 +196,6 @@ proptest! {
             );
             prop_assert!(e.signum() == t.signum() || e == 0.0, "sign flip at {}", j);
         }
-    }
-
-    /// The 4-wide unrolled degree-8 min-sum kernel is bit-identical to
-    /// the generic scalar kernel on random degree-8 checks (including
-    /// the tie-handling corner the first-strict-improvement index
-    /// semantics pin down).
-    #[test]
-    fn unrolled8_min_sum_matches_scalar(
-        seed in 0u64..10_000,
-        alpha_sel in 0usize..3,
-    ) {
-        use wi_ldpc::kernel::min_sum_scalar;
-        let alpha = [0.7, 0.8, 1.0][alpha_sel];
-        let mut rng = seeded_rng(seed ^ 0x8888);
-        // Quantize some magnitudes so ties actually occur.
-        let v2c: Vec<f64> = (0..8)
-            .map(|_| {
-                let m = (rng.gen::<f64>() - 0.5) * 60.0;
-                if rng.gen::<f64>() < 0.3 { m.round() } else { m }
-            })
-            .collect();
-        let offsets = [0u32, 8];
-        let mut fast = vec![0.0f64; 8];
-        let mut slow = vec![0.0f64; 8];
-        min_sum_unrolled8(&offsets, 0, 1, alpha, &v2c, &mut fast);
-        min_sum_scalar(&offsets, 0, 1, alpha, &v2c, &mut slow);
-        prop_assert!(fast == slow, "inputs {:?}: {:?} vs {:?}", &v2c, &fast, &slow);
     }
 }
 
@@ -288,7 +289,7 @@ fn required_ebn0_matches_exact_on_paper_coupled_code() {
 /// (`corrects_moderate_noise` in `decoder.rs`).
 #[test]
 fn table_rule_decodes_the_waterfall() {
-    use wi_ldpc::{BpDecoder, DecoderWorkspace};
+    use wi_ldpc::BpDecoder;
     let code = LdpcCode::paper_block(40, 5);
     let decoder = BpDecoder::new(
         &code,
@@ -297,7 +298,6 @@ fn table_rule_decodes_the_waterfall() {
             check_rule: CheckRule::sum_product_table(),
         },
     );
-    let mut ws = DecoderWorkspace::new(&code);
     let mut rng = seeded_rng(0x7AB);
     let mut gauss = wi_num::rng::Gaussian::new();
     let sigma = 0.6;
@@ -307,8 +307,8 @@ fn table_rule_decodes_the_waterfall() {
         let llr: Vec<f64> = (0..code.len())
             .map(|_| scale * (1.0 + gauss.sample_with(&mut rng, 0.0, sigma)))
             .collect();
-        let status = decoder.decode_in_place(&mut ws, &llr);
-        if !(status.converged && ws.hard().iter().all(|&b| !b)) {
+        let result = decoder.decode(&llr);
+        if !(result.converged && result.hard.iter().all(|&b| !b)) {
             failures += 1;
         }
     }

@@ -3,8 +3,8 @@
 //! Same simulated system as [`crate::des::reference`] (Poisson injection,
 //! deterministic dimension-order routes, one FIFO server per directed
 //! link plus one per ejection port, fixed pipeline delay per traversed
-//! router), re-architected the way PR 1's `DecoderWorkspace` re-
-//! architected the decoder:
+//! router), re-architected the way the LDPC decoders' flat, reusable
+//! workspaces re-architected BP decoding:
 //!
 //! * **No per-packet route allocation.** Routes come from a prebuilt
 //!   [`RouteTable`] in flat CSR form; a lookup is two array reads instead

@@ -309,7 +309,9 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'u') => {
                         let hex = bytes
                             .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
+                            .filter(|hex| hex.iter().all(u8::is_ascii_hexdigit))
+                            .ok_or_else(|| format!("bad \\u escape at byte {pos}", pos = *pos))?;
+                        // Four ASCII hex digits: valid UTF-8 and in range.
                         let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
                         let cp = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
                         // Surrogate pairs are not needed for the store's
@@ -335,17 +337,50 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
+/// Parses one number in the RFC 8259 grammar
+/// (`-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`). Anything
+/// else — a leading `+`, a bare `.5` or `1.`, a leading zero as in `01` —
+/// is an error, and so is a number that overflows `f64` (the writer would
+/// emit it as `null`, so it could not round-trip).
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
+    let bad = || format!("bad number at byte {start}");
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
+        }
+        *pos - from
+    };
+    if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
+    let int_start = *pos;
+    let int_len = digits(pos);
+    if int_len == 0 || (int_len > 1 && bytes[int_start] == b'0') {
+        return Err(bad());
+    }
+    if bytes.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        if digits(pos) == 0 {
+            return Err(bad());
+        }
+    }
+    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        if digits(pos) == 0 {
+            return Err(bad());
+        }
+    }
+    // The scanned bytes are ASCII, so this cannot fail.
     let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("bad number '{text}' at byte {start}"))
+    match text.parse::<f64>() {
+        Ok(x) if x.is_finite() => Ok(Json::Num(x)),
+        _ => Err(format!("number '{text}' at byte {start} is out of range")),
+    }
 }
 
 /// Builds an object from `(key, value)` pairs — the store's canonical
@@ -399,6 +434,42 @@ mod tests {
         assert!(Json::parse("{\"a\":1} x").is_err());
         assert!(Json::parse("{\"a\":}").is_err());
         assert!(Json::parse("").is_err());
+    }
+
+    #[test]
+    fn rejects_non_json_numbers_and_escapes() {
+        for text in [
+            "1e999",
+            "-1e999",
+            "+1",
+            ".5",
+            "1.",
+            "01",
+            "-01",
+            "-",
+            "1e",
+            "1e+",
+            "1.e5",
+            "0x10",
+            "\"\\u+041\"",
+            "\"\\u-041\"",
+            "\"\\u 041\"",
+            "\"\\u04\"",
+        ] {
+            assert!(Json::parse(text).is_err(), "{text} parsed");
+        }
+        for (text, want) in [
+            ("0", 0.0),
+            ("-0", -0.0),
+            ("10", 10.0),
+            ("1.5e-3", 1.5e-3),
+            ("2E+2", 200.0),
+            ("-0.25", -0.25),
+            ("1e-400", 0.0),
+        ] {
+            assert_eq!(Json::parse(text).unwrap(), Json::Num(want), "{text}");
+        }
+        assert_eq!(Json::parse("\"\\u0041\"").unwrap(), Json::Str("A".into()));
     }
 
     #[test]
