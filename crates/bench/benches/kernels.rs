@@ -151,6 +151,9 @@ fn bench_ldpc(c: &mut Criterion) {
     let mut c2v = vec![[0.0f64]; code.num_edges()];
     let mut scratch = vec![[0.0f64]; code.max_check_degree()];
     let mut fwd = vec![[0.0f64]; code.max_check_degree() + 1];
+    // All flags set: every check updates, as on a decoder's first
+    // iteration.
+    let changed = vec![1u8; code.num_edges()];
     c.bench_function("check_sumproduct_exact_deg8", |b| {
         b.iter(|| {
             sum_product_exact_batch(
@@ -158,6 +161,7 @@ fn bench_ldpc(c: &mut Criterion) {
                 0,
                 n_checks,
                 black_box(&v2c),
+                &changed,
                 &mut c2v,
                 &mut scratch,
                 &mut fwd,
@@ -173,6 +177,7 @@ fn bench_ldpc(c: &mut Criterion) {
                 n_checks,
                 &phi,
                 black_box(&v2c),
+                &changed,
                 &mut c2v,
                 &mut scratch,
             )
@@ -230,7 +235,7 @@ fn bench_ldpc(c: &mut Criterion) {
         b.iter(|| window_one(&wd, black_box(&llr_cc)))
     });
     // Batched window decoding: 8 frames slide the window in lockstep
-    // (fixed iteration schedule — no masking needed; divide by 8 for the
+    // (lane-independent schedule — no masking needed; divide by 8 for the
     // per-frame cost). Min-sum is the rule the batch path exists to
     // accelerate, so the one-lane/8-lane pair is measured on it.
     let wd_ms = WindowDecoder::new(4, 20).with_rule(CheckRule::min_sum());
@@ -254,6 +259,18 @@ fn bench_ldpc(c: &mut Criterion) {
                 wbws.set_lane_llr(lane, black_box(llr));
             }
             wd_ms.decode_batch(&mut wbws, &cc);
+        })
+    });
+    // The default rule on the same frames: exact sum-product with 50
+    // iterations per position, the decoder behind most of the fig10 and
+    // `ber_search` wall clock.
+    let wd_exact = WindowDecoder::new(4, 50);
+    c.bench_function("window_decode_exact_batch8_n25_l10", |b| {
+        b.iter(|| {
+            for (lane, llr) in cc_frames.iter().enumerate() {
+                wbws.set_lane_llr(lane, black_box(llr));
+            }
+            wd_exact.decode_batch(&mut wbws, &cc);
         })
     });
 }

@@ -17,7 +17,7 @@
 //! run on that frame ([`crate::decoder::reference`] /
 //! [`crate::window::reference`]), under all four `CheckRule`
 //! configurations, at every lane width — pinned by
-//! `tests/batch_equivalence.rs`. Two rules make this hold:
+//! `tests/batch_equivalence.rs`. Three rules make this hold:
 //!
 //! * **Lane masking** ([`BpDecoder::decode_batch`]): BP stops a frame at
 //!   convergence, so lanes stop at different iterations. In the flooding
@@ -25,13 +25,27 @@
 //!   `(channel, c2v)`; a converged lane therefore only needs its
 //!   posterior/hard **writes** masked (a conditional select of the old
 //!   value — never an arithmetic blend, which would rewrite `-0.0` to
-//!   `+0.0`). The check kernels themselves run unmasked: a frozen lane's
-//!   messages keep updating but are never observed again.
+//!   `+0.0`). A frozen lane's messages keep updating but are never
+//!   observed again.
 //! * **No masking needed** ([`WindowDecoder::decode_batch`]): the window
-//!   decoder runs a *fixed* iteration count with a lane-independent
-//!   schedule (activation, window sweep, decide-and-pin are structurally
-//!   identical across lanes), so a straight lane-wise transcription of
-//!   the reference operation sequence is already bit-identical.
+//!   decoder runs the reference's iteration schedule, which is
+//!   lane-independent (activation, window sweep, decide-and-pin are
+//!   structurally identical across lanes), so a straight lane-wise
+//!   transcription of the reference operation sequence is already
+//!   bit-identical.
+//! * **Change-driven updates** (both schedules): a check's c2v output is
+//!   a pure function of its v2c inputs, so when none of its inputs
+//!   changed bit for bit on any lane since its last update, rerunning it
+//!   would write the same bits, and it is skipped. `v2c_update_batch`
+//!   flags each edge whose message changed on some lane (comparing bit
+//!   patterns, so `-0.0` ↔ `+0.0` counts), and the check kernels skip
+//!   checks with no flagged edge. Every flag is set whenever c2v may be
+//!   stale: at BP decode start, and at every window position (restart
+//!   just cleared c2v; reuse keeps c2v computed from the previous
+//!   position's older v2c). When a v2c pass changes nothing, every later
+//!   iteration at that window position would repeat the last one bit for
+//!   bit, so the window decoder moves on. Frozen BP lanes keep drifting,
+//!   so the checks they touch stay flagged: that costs work, never bits.
 //!
 //! The BER layer ([`crate::ber`]) drives these decoders through
 //! `BerTarget::eval_frames_each` in chunks of the target's batch width,
@@ -118,6 +132,9 @@ pub struct BatchWorkspace {
     v2c: Vec<f64>,
     /// Check-to-variable messages, `[edge][lane]`.
     c2v: Vec<f64>,
+    /// Per edge, 1 when its v2c message changed on some lane in the last
+    /// v2c pass (the change-driven check skip; see the module docs).
+    changed: Vec<u8>,
     /// Committed posteriors, `[variable][lane]` — frozen lanes keep the
     /// value from their convergence iteration.
     posterior: Vec<f64>,
@@ -171,6 +188,7 @@ impl BatchWorkspace {
         self.llr.resize(n * lanes, 0.0);
         self.v2c.resize(e * lanes, 0.0);
         self.c2v.resize(e * lanes, 0.0);
+        self.changed.resize(e, 1);
         self.posterior.resize(n * lanes, 0.0);
         self.post_new.resize(n * lanes, 0.0);
         self.hard.resize(n, 0);
@@ -342,6 +360,7 @@ fn bp_decode_batch_impl<const L: usize>(decoder: &BpDecoder<'_>, ws: &mut BatchW
     let llr = chunks::<L>(&ws.llr);
     let v2c = chunks_mut::<L>(&mut ws.v2c);
     let c2v = chunks_mut::<L>(&mut ws.c2v);
+    let changed = &mut ws.changed[..];
     let posterior = chunks_mut::<L>(&mut ws.posterior);
     let post_new = chunks_mut::<L>(&mut ws.post_new);
     let hard = &mut ws.hard[..];
@@ -351,6 +370,7 @@ fn bp_decode_batch_impl<const L: usize>(decoder: &BpDecoder<'_>, ws: &mut BatchW
     // v2c from the clamped channel; posterior/hard from the raw channel —
     // the reference decoder's exact initialization.
     gather_clamp_batch(edge_var, llr, v2c);
+    changed.fill(1);
     posterior.copy_from_slice(llr);
     hard_decisions_batch(posterior, hard);
 
@@ -384,7 +404,7 @@ fn bp_decode_batch_impl<const L: usize>(decoder: &BpDecoder<'_>, ws: &mut BatchW
             }
         }
 
-        // Check update runs unmasked: frozen lanes' messages drift but
+        // Check update on every lane: frozen lanes' messages drift but
         // are never observed (posterior/hard below select the old value).
         update_checks_batch::<L>(
             offsets,
@@ -393,6 +413,7 @@ fn bp_decode_batch_impl<const L: usize>(decoder: &BpDecoder<'_>, ws: &mut BatchW
             config.check_rule,
             &ws.phi,
             v2c,
+            changed,
             c2v,
             scratch,
             fwd,
@@ -408,7 +429,7 @@ fn bp_decode_batch_impl<const L: usize>(decoder: &BpDecoder<'_>, ws: &mut BatchW
         clamp_batch(llr, post_new);
         scatter_add_batch(edge_var, c2v, post_new);
         masked_commit_batch(active, post_new, posterior, hard);
-        v2c_update_batch(edge_var, posterior, c2v, v2c);
+        v2c_update_batch(edge_var, posterior, c2v, v2c, changed);
         unsat = syndrome_batch(offsets, edge_var, n_checks, hard) & lane_mask;
         active &= unsat;
     }
@@ -417,8 +438,9 @@ fn bp_decode_batch_impl<const L: usize>(decoder: &BpDecoder<'_>, ws: &mut BatchW
 }
 
 /// Reusable structure-of-arrays state for
-/// [`WindowDecoder::decode_batch`]. The per-check activation flags are
-/// shared across lanes — the window schedule is lane-independent.
+/// [`WindowDecoder::decode_batch`]. The per-check activation flags and
+/// per-edge change flags are shared across lanes — the window schedule
+/// is lane-independent.
 #[derive(Clone, Debug, Default)]
 pub struct WindowBatchWorkspace {
     lanes: usize,
@@ -431,6 +453,9 @@ pub struct WindowBatchWorkspace {
     v2c: Vec<f64>,
     /// Check-to-variable messages, `[edge][lane]`.
     c2v: Vec<f64>,
+    /// Per edge, 1 when its v2c message changed on some lane in the last
+    /// v2c pass (the change-driven check skip; see the module docs).
+    changed: Vec<u8>,
     /// Whether each check holds valid persisted messages (lane-shared).
     active: Vec<bool>,
     /// Posterior per variable, `[variable][lane]`.
@@ -443,6 +468,8 @@ pub struct WindowBatchWorkspace {
     fwd: Vec<f64>,
     /// φ lookup table (built lazily, only for the table rule).
     phi: PhiTable,
+    /// Check updates the last decode executed.
+    check_updates: u64,
 }
 
 impl WindowBatchWorkspace {
@@ -475,6 +502,7 @@ impl WindowBatchWorkspace {
         self.llr.resize(n * lanes, 0.0);
         self.v2c.resize(e * lanes, 0.0);
         self.c2v.resize(e * lanes, 0.0);
+        self.changed.resize(e, 1);
         self.active.resize(code.num_checks(), false);
         self.posterior.resize(n * lanes, 0.0);
         self.hard.resize(n, 0);
@@ -517,14 +545,21 @@ impl WindowBatchWorkspace {
             .map(|&bits| u64::from((bits >> lane) & 1))
             .sum()
     }
+
+    /// Check updates the last decode ran, summed over window positions;
+    /// one update covers every lane. Without the change-driven skip and
+    /// the fixed-point stop it would be `positions × iterations × window
+    /// checks`, so the shortfall is the work those two saved.
+    pub fn check_updates(&self) -> u64 {
+        self.check_updates
+    }
 }
 
 impl WindowDecoder {
     /// Window-decodes the `ws.lanes()` frames previously loaded with
     /// [`WindowBatchWorkspace::set_lane_llr`] in SIMD lockstep. The
-    /// window decoder's fixed iteration count and lane-independent
-    /// schedule need no convergence masking: each lane's decisions are
-    /// bit-identical to
+    /// window decoder's lane-independent schedule needs no convergence
+    /// masking: each lane's decisions are bit-identical to
     /// [`reference::decode`](crate::window::reference::decode) on that
     /// lane's LLRs.
     ///
@@ -561,6 +596,7 @@ fn window_decode_batch_impl<const L: usize>(
     let llr = chunks_mut::<L>(&mut ws.llr);
     let v2c = chunks_mut::<L>(&mut ws.v2c);
     let c2v = chunks_mut::<L>(&mut ws.c2v);
+    let changed = &mut ws.changed[..];
     let posterior = chunks_mut::<L>(&mut ws.posterior);
     let active = &mut ws.active[..];
     let hard = &mut ws.hard[..];
@@ -569,6 +605,7 @@ fn window_decode_batch_impl<const L: usize>(
 
     hard.fill(0);
     active.fill(false);
+    let mut check_updates = 0u64;
 
     for t in 0..code.num_blocks() {
         let (check_lo, check_hi) = decoder.check_range(code, t);
@@ -589,32 +626,42 @@ fn window_decode_batch_impl<const L: usize>(
         }
         let edge_lo = offsets[check_lo] as usize;
         let edge_hi = offsets[check_hi] as usize;
+        // Every window check's c2v may be stale here (cleared, or
+        // computed from the previous position's v2c), so all run once.
+        changed[edge_lo..edge_hi].fill(1);
 
         posterior.copy_from_slice(llr);
         for _ in 0..decoder.iterations {
-            update_checks_batch::<L>(
+            check_updates += update_checks_batch::<L>(
                 offsets,
                 check_lo,
                 check_hi,
                 decoder.check_rule,
                 &ws.phi,
                 v2c,
+                changed,
                 c2v,
                 scratch,
                 fwd,
-            );
+            ) as u64;
             posterior.copy_from_slice(llr);
             scatter_add_batch(
                 &edge_var[edge_lo..edge_hi],
                 &c2v[edge_lo..edge_hi],
                 posterior,
             );
-            v2c_update_batch(
+            let moved = v2c_update_batch(
                 &edge_var[edge_lo..edge_hi],
                 posterior,
                 &c2v[edge_lo..edge_hi],
                 &mut v2c[edge_lo..edge_hi],
+                &mut changed[edge_lo..edge_hi],
             );
+            if !moved {
+                // Bit-exact fixed point: every remaining iteration would
+                // skip every check and rewrite these same messages.
+                break;
+            }
         }
 
         // Decide and pin the target block only.
@@ -629,4 +676,5 @@ fn window_decode_batch_impl<const L: usize>(
             hard[v] = bits;
         }
     }
+    ws.check_updates = check_updates;
 }

@@ -148,13 +148,14 @@ pub struct DecodeStatus {
     pub converged: bool,
 }
 
-/// One flooding check-node update over checks `check_lo..check_hi`,
+/// One flooding check-node update over the checks in
+/// `check_lo..check_hi` that have an edge flagged in `changed`,
 /// streaming the flat CSR arrays with messages in `[edge][lane]`
 /// structure-of-arrays layout: dispatches `rule` to its
-/// [`crate::kernel`] implementation. Scratch slices must hold
-/// `max_check_degree` (+1 for `fwd`) entries; `phi` must be built
-/// (see [`PhiTable::ensure`]) when the rule is
-/// [`CheckRule::SumProductTable`].
+/// [`crate::kernel`] implementation and returns the number of checks
+/// updated. Scratch slices must hold `max_check_degree` (+1 for `fwd`)
+/// entries; `phi` must be built (see [`PhiTable::ensure`]) when the rule
+/// is [`CheckRule::SumProductTable`].
 ///
 /// Shared by [`BpDecoder`] and the window decoder so both schedules apply
 /// identical numerics.
@@ -166,19 +167,20 @@ pub(crate) fn update_checks_batch<const L: usize>(
     rule: CheckRule,
     phi: &PhiTable,
     v2c: &[[f64; L]],
+    changed: &[u8],
     c2v: &mut [[f64; L]],
     scratch: &mut [[f64; L]],
     fwd: &mut [[f64; L]],
-) {
+) -> usize {
     match rule {
-        CheckRule::SumProduct => {
-            kernel::sum_product_exact_batch(offsets, check_lo, check_hi, v2c, c2v, scratch, fwd);
-        }
-        CheckRule::SumProductTable { .. } => {
-            kernel::sum_product_table_batch(offsets, check_lo, check_hi, phi, v2c, c2v, scratch);
-        }
+        CheckRule::SumProduct => kernel::sum_product_exact_batch(
+            offsets, check_lo, check_hi, v2c, changed, c2v, scratch, fwd,
+        ),
+        CheckRule::SumProductTable { .. } => kernel::sum_product_table_batch(
+            offsets, check_lo, check_hi, phi, v2c, changed, c2v, scratch,
+        ),
         CheckRule::MinSum { alpha } => {
-            kernel::min_sum_batch(offsets, check_lo, check_hi, alpha, v2c, c2v);
+            kernel::min_sum_batch(offsets, check_lo, check_hi, alpha, v2c, changed, c2v)
         }
     }
 }

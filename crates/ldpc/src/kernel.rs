@@ -26,6 +26,13 @@
 //! The φ-table kernel takes a fixed-array fast path for the degree-8
 //! checks of the paper's (4,8)-regular codes.
 //!
+//! Every check kernel is change-driven: it takes the per-edge "changed"
+//! flags that [`v2c_update_batch`] writes and skips a check none of
+//! whose edges is flagged. A check's output is a pure function of its
+//! inputs, so a skipped update would have rewritten the same bits.
+//! Callers outside a decoder pass all-set flags. Each kernel returns
+//! the number of check updates it ran.
+//!
 //! # The φ formulation
 //!
 //! For a check of degree `d` with incoming messages `m₁ … m_d`, the exact
@@ -313,23 +320,38 @@ pub(crate) const TANH_SAT: f64 = 28.5;
 // blend like `m·new + (1−m)·old` would turn `-0.0` into `+0.0` and break
 // bit-identity) so stable-rust LLVM auto-vectorizes them over `[f64; L]`.
 
-/// Lane-array normalized min-sum over checks `check_lo..check_hi`, with
-/// `v2c`/`c2v` in `[edge][lane]` structure-of-arrays layout; every lane
-/// is bit-identical to the reference's two-min tracker on that lane's
-/// messages.
+/// Whether any edge in `lo..hi` is flagged in `changed` — the skip test
+/// every check kernel applies before updating a check.
+#[inline(always)]
+fn any_changed(changed: &[u8], lo: usize, hi: usize) -> bool {
+    changed[lo..hi].iter().any(|&f| f != 0)
+}
+
+/// Lane-array normalized min-sum over the checks in `check_lo..check_hi`
+/// that have a flagged edge in `changed`, with `v2c`/`c2v` in
+/// `[edge][lane]` structure-of-arrays layout; every lane is
+/// bit-identical to the reference's two-min tracker on that lane's
+/// messages. Returns the number of checks updated.
 pub fn min_sum_batch<const L: usize>(
     offsets: &[u32],
     check_lo: usize,
     check_hi: usize,
     alpha: f64,
     v2c: &[[f64; L]],
+    changed: &[u8],
     c2v: &mut [[f64; L]],
-) {
+) -> usize {
+    let mut updated = 0;
     for c in check_lo..check_hi {
         let lo = offsets[c] as usize;
         let hi = offsets[c + 1] as usize;
+        if !any_changed(changed, lo, hi) {
+            continue;
+        }
+        updated += 1;
         min_sum_check_lanes(alpha, &v2c[lo..hi], &mut c2v[lo..hi]);
     }
+    updated
 }
 
 /// One lane-array min-sum check: a branch-free two-min tracker per lane.
@@ -384,25 +406,33 @@ fn min_sum_check_lanes<const L: usize>(alpha: f64, m: &[[f64; L]], out: &mut [[f
     }
 }
 
-/// Lane-array exact sum-product over checks `check_lo..check_hi`:
-/// forward/backward `tanh` partial products per lane, each check in
-/// O(degree). The per-lane `tanh`/`atanh` calls keep this kernel
-/// transcendental-bound (it does not vectorize), but every lane is
-/// bit-identical to the naive reference — the contract under
-/// `CheckRule::SumProduct`. `tanhs`/`fwd` are scratch of
-/// `max_check_degree` (+1 for `fwd`) lane-array entries.
+/// Lane-array exact sum-product over the checks in `check_lo..check_hi`
+/// that have a flagged edge in `changed`: forward/backward `tanh`
+/// partial products per lane, each check in O(degree). The per-lane
+/// `tanh`/`atanh` calls keep this kernel transcendental-bound (it does
+/// not vectorize), but every lane is bit-identical to the naive
+/// reference — the contract under `CheckRule::SumProduct`. `tanhs`/`fwd`
+/// are scratch of `max_check_degree` (+1 for `fwd`) lane-array entries.
+/// Returns the number of checks updated.
+#[allow(clippy::too_many_arguments)] // flat kernel: every slice is a distinct buffer
 pub fn sum_product_exact_batch<const L: usize>(
     offsets: &[u32],
     check_lo: usize,
     check_hi: usize,
     v2c: &[[f64; L]],
+    changed: &[u8],
     c2v: &mut [[f64; L]],
     tanhs: &mut [[f64; L]],
     fwd: &mut [[f64; L]],
-) {
+) -> usize {
+    let mut updated = 0;
     for c in check_lo..check_hi {
         let lo = offsets[c] as usize;
         let hi = offsets[c + 1] as usize;
+        if !any_changed(changed, lo, hi) {
+            continue;
+        }
+        updated += 1;
         let deg = hi - lo;
         for (t, mj) in tanhs[..deg].iter_mut().zip(&v2c[lo..hi]) {
             for lane in 0..L {
@@ -432,35 +462,44 @@ pub fn sum_product_exact_batch<const L: usize>(
             }
         }
     }
+    updated
 }
 
-/// Lane-array table-driven sum-product over checks `check_lo..check_hi`:
-/// per edge, one φ-table evaluation on the gather pass (`φ(|m|)`, floored
-/// at [`phi_gather_floor`] and accumulated into the check total) and one
+/// Lane-array table-driven sum-product over the checks in
+/// `check_lo..check_hi` that have a flagged edge in `changed`: per edge,
+/// one φ-table evaluation on the gather pass (`φ(|m|)`, floored at
+/// [`phi_gather_floor`] and accumulated into the check total) and one
 /// on the scatter pass (`φ(total − φ(|m_j|))`). The φ-table gather is a
 /// per-lane scalar lookup (no hardware gather on stable rust), but the
 /// accumulate/scatter arithmetic around it is lane-parallel. `phis` is
 /// scratch of `max_check_degree` lane-array entries; degree-8 checks keep
 /// theirs in a fixed array instead, which drops the bounds checks from
-/// both passes.
+/// both passes. Returns the number of checks updated.
 ///
 /// The kernel is *accuracy-tested*, not bit-identical, against
 /// [`sum_product_exact_batch`]; see the [`PhiTable`] contract. The
 /// decoders and the naive reference evaluate the same table in the same
 /// order, so engine bit-identity still holds under the table rule.
+#[allow(clippy::too_many_arguments)] // flat kernel: every slice is a distinct buffer
 pub fn sum_product_table_batch<const L: usize>(
     offsets: &[u32],
     check_lo: usize,
     check_hi: usize,
     phi: &PhiTable,
     v2c: &[[f64; L]],
+    changed: &[u8],
     c2v: &mut [[f64; L]],
     phis: &mut [[f64; L]],
-) {
+) -> usize {
     let floor = phi_gather_floor();
+    let mut updated = 0;
     for c in check_lo..check_hi {
         let lo = offsets[c] as usize;
         let hi = offsets[c + 1] as usize;
+        if !any_changed(changed, lo, hi) {
+            continue;
+        }
+        updated += 1;
         if hi - lo == 8 {
             let m: &[[f64; L]; 8] = v2c[lo..hi].try_into().expect("degree-8 check");
             let out: &mut [[f64; L]; 8] = (&mut c2v[lo..hi]).try_into().expect("degree-8 check");
@@ -471,6 +510,7 @@ pub fn sum_product_table_batch<const L: usize>(
             table_check_lanes(phi, floor, &v2c[lo..hi], &mut c2v[lo..hi], &mut phis[..deg]);
         }
     }
+    updated
 }
 
 /// One lane-array φ-table check: `phis` receives the gather values
@@ -565,20 +605,38 @@ pub fn scatter_add_batch<const L: usize>(
 }
 
 /// Variable-to-check update over edges:
-/// `v2c[e] = clamp(posterior[edge_var[e]] - c2v[e])`.
+/// `v2c[e] = clamp(posterior[edge_var[e]] - c2v[e])`. Also sets
+/// `changed[e]` to 1 when the new message differs from the old one on
+/// any lane and to 0 otherwise, and returns whether any edge changed.
+/// The comparison is on bit patterns, so a `-0.0` ↔ `+0.0` flip counts
+/// as a change (the check kernels propagate signs, so it must).
 #[inline(never)]
 pub fn v2c_update_batch<const L: usize>(
     edge_var: &[u32],
     posterior: &[[f64; L]],
     c2v: &[[f64; L]],
     v2c: &mut [[f64; L]],
-) {
-    for ((o, me), &v) in v2c.iter_mut().zip(c2v).zip(edge_var) {
+    changed: &mut [u8],
+) -> bool {
+    debug_assert_eq!(changed.len(), v2c.len(), "one flag per edge");
+    for (((o, me), &v), flag) in v2c
+        .iter_mut()
+        .zip(c2v)
+        .zip(edge_var)
+        .zip(changed.iter_mut())
+    {
         let pv = &posterior[v as usize];
+        let mut diff = 0u64;
         for lane in 0..L {
-            o[lane] = (pv[lane] - me[lane]).clamp(-LLR_CLAMP, LLR_CLAMP);
+            let new = (pv[lane] - me[lane]).clamp(-LLR_CLAMP, LLR_CLAMP);
+            diff |= new.to_bits() ^ o[lane].to_bits();
+            o[lane] = new;
         }
+        *flag = u8::from(diff != 0);
     }
+    // A separate early-exit scan: cheaper than folding the flags inside
+    // the edge loop (measured ~5 % on one-lane min-sum BP).
+    changed.iter().any(|&f| f != 0)
 }
 
 /// Hard decisions from committed posteriors: `hard[i]` bit `l` set when
@@ -691,8 +749,27 @@ mod tests {
         let mut table = [[0.0f64]; 8];
         let mut scratch = [[0.0f64]; 8];
         let mut fwd = [[0.0f64]; 9];
-        sum_product_exact_batch(&offsets, 0, 1, &v2c, &mut exact, &mut scratch, &mut fwd);
-        sum_product_table_batch(&offsets, 0, 1, &phi, &v2c, &mut table, &mut scratch);
+        let changed = [1u8; 8];
+        sum_product_exact_batch(
+            &offsets,
+            0,
+            1,
+            &v2c,
+            &changed,
+            &mut exact,
+            &mut scratch,
+            &mut fwd,
+        );
+        sum_product_table_batch(
+            &offsets,
+            0,
+            1,
+            &phi,
+            &v2c,
+            &changed,
+            &mut table,
+            &mut scratch,
+        );
         for ([e], [t]) in exact.iter().zip(&table) {
             assert!((e - t).abs() < 0.05, "saturated: exact {e} vs table {t}");
         }
@@ -727,12 +804,134 @@ mod tests {
         let mut table = [[0.0f64]; 5];
         let mut scratch = [[0.0f64]; 5];
         let mut fwd = [[0.0f64]; 6];
-        sum_product_exact_batch(&offsets, 0, 1, &v2c, &mut exact, &mut scratch, &mut fwd);
+        let changed = [1u8; 5];
+        sum_product_exact_batch(
+            &offsets,
+            0,
+            1,
+            &v2c,
+            &changed,
+            &mut exact,
+            &mut scratch,
+            &mut fwd,
+        );
         let phi = PhiTable::new(12);
-        sum_product_table_batch(&offsets, 0, 1, &phi, &v2c, &mut table, &mut scratch);
+        sum_product_table_batch(
+            &offsets,
+            0,
+            1,
+            &phi,
+            &v2c,
+            &changed,
+            &mut table,
+            &mut scratch,
+        );
         for ([e], [t]) in exact.iter().zip(&table) {
             assert!((e - t).abs() < 5e-3, "exact {exact:?} vs table {table:?}");
             assert_eq!(e.signum(), t.signum(), "sign flip");
+        }
+    }
+
+    #[test]
+    fn v2c_update_rewriting_identical_bits_flags_nothing() {
+        // Two edges on variables 0 and 1, 8 lanes: the first pass writes
+        // fresh messages, the second recomputes the same bits.
+        let edge_var = [0u32, 1];
+        let posterior = [[1.5f64, -2.0, 0.25, 31.0, -31.0, 0.0, 3.0, -0.5]; 2];
+        let c2v = [[0.5f64; 8], [-1.0; 8]];
+        let mut v2c = [[0.0f64; 8]; 2];
+        let mut changed = [0u8; 2];
+        assert!(v2c_update_batch(
+            &edge_var,
+            &posterior,
+            &c2v,
+            &mut v2c,
+            &mut changed
+        ));
+        assert_eq!(changed, [1, 1]);
+        let before = v2c;
+        assert!(!v2c_update_batch(
+            &edge_var,
+            &posterior,
+            &c2v,
+            &mut v2c,
+            &mut changed
+        ));
+        assert_eq!(changed, [0, 0]);
+        assert_eq!(
+            v2c.map(|m| m.map(f64::to_bits)),
+            before.map(|m| m.map(f64::to_bits))
+        );
+    }
+
+    #[test]
+    fn v2c_update_flags_a_signed_zero_flip() {
+        // -0.0 == +0.0 as floats, but the sign feeds the check kernels'
+        // sign products, so the flip must count as a change.
+        let edge_var = [0u32];
+        let posterior = [[0.0f64]];
+        let c2v = [[0.0f64]];
+        let mut v2c = [[-0.0f64]];
+        let mut changed = [0u8];
+        assert!(v2c_update_batch(
+            &edge_var,
+            &posterior,
+            &c2v,
+            &mut v2c,
+            &mut changed
+        ));
+        assert_eq!(changed, [1]);
+        assert_eq!(v2c[0][0].to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn v2c_update_flags_a_change_on_one_lane_of_eight() {
+        let edge_var = [0u32, 0, 1];
+        let mut posterior = [[2.0f64; 8]; 2];
+        let c2v = [[0.5f64; 8]; 3];
+        let mut v2c = [[0.0f64; 8]; 3];
+        let mut changed = [0u8; 3];
+        v2c_update_batch(&edge_var, &posterior, &c2v, &mut v2c, &mut changed);
+        // Each lane in turn: only that lane of variable 1 moves, and only
+        // the edge on variable 1 is flagged.
+        for lane in 0..8 {
+            posterior[1][lane] = -2.0;
+            assert!(v2c_update_batch(
+                &edge_var,
+                &posterior,
+                &c2v,
+                &mut v2c,
+                &mut changed
+            ));
+            assert_eq!(changed, [0, 0, 1], "lane {lane}");
+            posterior[1][lane] = 2.0;
+            v2c_update_batch(&edge_var, &posterior, &c2v, &mut v2c, &mut changed);
+        }
+    }
+
+    #[test]
+    fn check_kernels_skip_checks_without_a_changed_edge() {
+        // Two degree-3 checks; only the second has a flagged edge, so the
+        // first check's output keeps its sentinel under every rule.
+        let offsets = [0u32, 3, 6];
+        let v2c = [[1.0f64], [-2.0], [3.0], [0.5], [1.5], [-2.5]];
+        let changed = [0u8, 0, 0, 0, 1, 0];
+        let phi = PhiTable::new(7);
+        let (mut tanhs, mut fwd) = ([[0.0f64]; 3], [[0.0f64]; 4]);
+        for rule in ["min-sum", "exact", "table"] {
+            let mut c2v = [[99.0f64]; 6];
+            let updated = match rule {
+                "min-sum" => min_sum_batch(&offsets, 0, 2, 0.8, &v2c, &changed, &mut c2v),
+                "exact" => sum_product_exact_batch(
+                    &offsets, 0, 2, &v2c, &changed, &mut c2v, &mut tanhs, &mut fwd,
+                ),
+                _ => sum_product_table_batch(
+                    &offsets, 0, 2, &phi, &v2c, &changed, &mut c2v, &mut tanhs,
+                ),
+            };
+            assert_eq!(updated, 1, "{rule}");
+            assert_eq!(&c2v[..3], &[[99.0]; 3], "{rule}: clean check rewritten");
+            assert!(c2v[3..].iter().all(|&[m]| m != 99.0), "{rule}");
         }
     }
 }

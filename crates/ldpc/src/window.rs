@@ -137,7 +137,9 @@ pub fn block_latency_bits(lifting: usize, nv: usize, rate: f64) -> f64 {
 pub struct WindowDecoder {
     /// Window size `W` in coupled blocks (`mcc + 1 ≤ W ≤ L`).
     pub window: usize,
-    /// Belief-propagation iterations per window position.
+    /// Belief-propagation iterations per window position. The engine
+    /// stops a position early once an iteration changes no message bit,
+    /// since every later iteration would repeat it exactly.
     pub iterations: usize,
     /// Retain messages across window positions instead of restarting.
     pub reuse_messages: bool,

@@ -3,7 +3,8 @@
 //! and coupled codes, all four check rules, lane counts {1, 2, 4, 8},
 //! ragged tails (frame counts not divisible by the batch width),
 //! mixed-convergence batches where lanes stop at different iterations,
-//! and batches that take the straggler bail-out.
+//! batches that take the straggler bail-out, and window decodes where
+//! the change-driven check skip and the fixed-point stop fire.
 
 use proptest::prelude::*;
 use wi_ldpc::batch::{BatchWorkspace, WindowBatchWorkspace};
@@ -131,16 +132,20 @@ proptest! {
         term_length in 4usize..9,
         code_seed in 0u64..500,
         noise_seed in 0u64..500,
-        sigma in 0.6f64..1.1,
+        sigma in 0.3f64..1.1,
         rule_selector in 0u8..4,
         lanes_selector in 0u8..4,
         window in 3usize..5,
         reuse_selector in 0u8..2,
+        iterations_selector in 0u8..3,
     ) {
+        // Long budgets and low noise are where window positions reach a
+        // fixed point and most checks stop changing, so the skip fires.
+        let iterations = [8, 50, 200][iterations_selector as usize];
         let code = CoupledCode::paper_cc(lifting, term_length, code_seed);
         let decoder = WindowDecoder {
             reuse_messages: reuse_selector == 1,
-            ..WindowDecoder::new(window, 8).with_rule(rule_from_selector(rule_selector))
+            ..WindowDecoder::new(window, iterations).with_rule(rule_from_selector(rule_selector))
         };
         let lanes = lanes_from_selector(lanes_selector);
 
@@ -320,6 +325,49 @@ fn straggler_bail_out_matches_reference() {
                 );
             }
             assert_batch_matches_reference(&decoder, &frames);
+        }
+    }
+}
+
+#[test]
+fn change_driven_window_skips_work_and_matches_reference() {
+    // Clean +4.0 frames saturate within a few iterations, so most of a
+    // 50-iteration budget per position runs on unchanged messages: the
+    // skip must fire and the bits must not move.
+    let code = CoupledCode::paper_cc(25, 10, 2);
+    let iterations = 50;
+    let clean = vec![4.0; code.code().len()];
+    for reuse_messages in [false, true] {
+        let decoder = WindowDecoder {
+            reuse_messages,
+            ..WindowDecoder::new(4, iterations)
+        };
+        let want = window::reference::decode(&decoder, &code, &clean);
+        for lanes in [1, 8] {
+            let mut bws = WindowBatchWorkspace::new(code.code(), lanes);
+            for lane in 0..lanes {
+                bws.set_lane_llr(lane, &clean);
+            }
+            decoder.decode_batch(&mut bws, &code);
+            for lane in 0..lanes {
+                let got: Vec<bool> = (0..want.len()).map(|v| bws.hard_bit(v, lane)).collect();
+                assert_eq!(got, want, "reuse {reuse_messages}, lane {lane}");
+            }
+
+            // Checks per position: rows t..min(t+W, L+mcc), block_checks
+            // each. Without the skip every one runs every iteration; the
+            // first iteration at each position always runs them all.
+            let rows: u64 = (0..code.num_blocks())
+                .map(|t| ((t + decoder.window).min(code.num_blocks() + code.memory()) - t) as u64)
+                .sum();
+            let first_pass = rows * code.block_checks() as u64;
+            let unskipped = first_pass * iterations as u64;
+            let ran = bws.check_updates();
+            assert!(
+                ran >= first_pass && ran < unskipped,
+                "reuse {reuse_messages}, {lanes} lanes: {ran} check updates, \
+                 want [{first_pass}, {unskipped})"
+            );
         }
     }
 }

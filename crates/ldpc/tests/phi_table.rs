@@ -41,6 +41,7 @@ fn table_check(table: &PhiTable, v2c: &[f64]) -> Vec<f64> {
         1,
         table,
         &lanes,
+        &vec![1; deg],
         &mut out,
         &mut scratch,
     );
@@ -59,6 +60,7 @@ fn exact_check(v2c: &[f64]) -> Vec<f64> {
         0,
         1,
         &lanes,
+        &vec![1; deg],
         &mut out,
         &mut scratch,
         &mut fwd,
