@@ -8,7 +8,9 @@
 //! `ber_search_concurrent` and `ber_search_paired` are the CI-pruned and
 //! common-random-numbers strategies the redesign added. The interesting
 //! figure is the ratio between them — it tracks the end-to-end speedup
-//! recorded in `docs/REPRODUCING.md`.
+//! recorded in `docs/REPRODUCING.md`. `ber_search_bisect_2w` runs the
+//! bisect search at two workers: the one bench whose Monte-Carlo rounds
+//! fan out, so it measures how rounds are sized and split across workers.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -39,15 +41,20 @@ fn bench_search(c: &mut Criterion) {
         grid_points: 7,
         ..SearchConfig::default()
     };
-    for (name, strategy) in [
-        ("ber_search_bisect", SearchStrategy::Bisection),
-        ("ber_search_concurrent", SearchStrategy::ConcurrentBisection),
-        ("ber_search_paired", SearchStrategy::PairedGrid),
+    for (name, strategy, threads) in [
+        ("ber_search_bisect", SearchStrategy::Bisection, 1),
+        (
+            "ber_search_concurrent",
+            SearchStrategy::ConcurrentBisection,
+            1,
+        ),
+        ("ber_search_paired", SearchStrategy::PairedGrid, 1),
+        ("ber_search_bisect_2w", SearchStrategy::Bisection, 2),
     ] {
         let search = SearchConfig { strategy, ..base };
         c.bench_function(name, |b| {
             b.iter(|| {
-                search_required_ebn0_with_threads(&target, 1e-2, black_box(&opts), &search, 1)
+                search_required_ebn0_with_threads(&target, 1e-2, black_box(&opts), &search, threads)
             })
         });
     }

@@ -48,8 +48,11 @@
 //! [`SearchStrategy::ConcurrentBisection`] — is applied by a serial fold
 //! over the per-frame results **in frame order**. [`simulate_ber`] and
 //! [`search_required_ebn0`] therefore return bit-identical results for
-//! any thread count; extra frames speculatively simulated past a stopping
-//! point are discarded without being counted. Each worker reuses one
+//! any thread count. Each fan-out round is sized from the stop rules:
+//! the frames the fold must consume (up to `min_frames`) are dispatched
+//! exactly, and after that a round is one full-width batch per worker,
+//! so the frames decoded past a stop — and discarded without being
+//! counted — stay below one batch per worker. Each worker reuses one
 //! [`BerWorkspace`], so the hot loop does not allocate.
 //!
 //! # Bit-identical vs statistically equivalent
@@ -811,11 +814,11 @@ impl BerTarget for CachedBerTarget<'_> {
     }
 }
 
-/// Frames dispatched per worker per fan-out round. Each round spawns
-/// scoped threads (tens of µs per worker), so this must cover many frames
-/// even for ~25 µs min-sum decodes; the cost of a larger round is only
-/// the speculative frames past an early stop, which are discarded.
-const FRAMES_PER_WORKER: u64 = 16;
+/// Cap on one fan-out round, in full-width batches per worker. A round
+/// never exceeds what the frame budget can still consume, but that
+/// budget comes from untrusted specs (`min_frames` = 10¹² must not size
+/// one allocation); past this many batches a round just runs again.
+const MAX_BATCHES_PER_WORKER: u64 = 2;
 
 /// The frame-budget stop rules a single BER point runs under (the
 /// strategy-resolved view of [`BerSimOptions`] plus any search-level
@@ -869,12 +872,20 @@ fn keep_going(
 /// workers.
 ///
 /// Each round fills a block of frame slots through [`par::for_each_chunk`]
-/// (one batch per claim, one [`BerWorkspace`] per worker) and then folds
-/// it serially in frame order, checking the stop rules after every
-/// frame — so the returned estimate is identical for every `threads`
-/// value, and frames speculatively decoded past the stopping point are
-/// discarded without being counted. A single worker's round is one
-/// batch, so it never decodes past the batch where the stop fires.
+/// (one [`BerWorkspace`] per worker) and then folds it serially in frame
+/// order, checking the stop rules after every frame — so the returned
+/// estimate is identical for every `threads` value. Rounds are sized from
+/// the stop rules:
+///
+/// * while fewer than `min_frames` frames are folded, a round is exactly
+///   the frames still needed, and the fold consumes all of them;
+/// * after that, a round is one full-width batch per worker, so fewer
+///   than `threads × width` frames are decoded past a stop and discarded.
+///
+/// Every round is also capped at the `max_frames` left and at
+/// [`MAX_BATCHES_PER_WORKER`] batches per worker, and is split into equal
+/// contiguous shares, one per worker (20 frames on 2 workers run as
+/// 10 + 10, not 8 + 8 + 4 with one worker idle).
 fn run_target(
     target: &dyn BerTarget,
     ebn0_db: f64,
@@ -885,16 +896,12 @@ fn run_target(
 ) -> BerEstimate {
     let mut fold = FrameStats::default();
     let max_frames = budget.max_frames;
-    let width = target.batch_width().clamp(1, MAX_LANES);
+    let width = target.batch_width().clamp(1, MAX_LANES) as u64;
 
     // More workers than the simulation can ever have frames is pure
     // workspace-allocation waste.
     let threads = threads.clamp(1, max_frames.max(1).try_into().unwrap_or(usize::MAX));
-    let round = if threads == 1 {
-        width as u64
-    } else {
-        threads as u64 * FRAMES_PER_WORKER
-    };
+    let full_width = (threads as u64).saturating_mul(width);
     // One workspace per worker for the whole simulation, not per round —
     // a decode fully reinitializes its workspace, so reuse cannot leak
     // state between frames.
@@ -902,11 +909,19 @@ fn run_target(
     let mut results: Vec<FrameStats> = Vec::new();
     'mc: while keep_going(&fold, &budget, extra_stop) {
         let base = fold.frames;
+        let needed = budget.min_frames.saturating_sub(base);
+        let round = if needed > 0 { needed } else { full_width }
+            .min(full_width.saturating_mul(MAX_BATCHES_PER_WORKER))
+            .min(max_frames - base);
+        let grain = round.div_ceil(threads as u64);
         results.clear();
-        results.resize(round.min(max_frames - base) as usize, FrameStats::default());
-        par::for_each_chunk(&mut workspaces, &mut results, width, |ws, start, out| {
-            target.eval_frames_each(ws, ebn0_db, seed, base + start as u64, out)
-        });
+        results.resize(round as usize, FrameStats::default());
+        par::for_each_chunk(
+            &mut workspaces,
+            &mut results,
+            grain as usize,
+            |ws, start, out| target.eval_frames_each(ws, ebn0_db, seed, base + start as u64, out),
+        );
         for frame_stats in &results {
             fold.merge(frame_stats);
             if !keep_going(&fold, &budget, extra_stop) {

@@ -11,11 +11,10 @@
 //!   tail): no transcendentals in the loop, accuracy-tested against the
 //!   exact rule instead of bit-identical (see the [`kernel`] docs).
 //! * [`CheckRule::MinSum { alpha }`][CheckRule::MinSum] — normalized
-//!   min-sum: sign product and two-smallest-magnitude tracking, with a
-//!   min-tree fast path for the paper codes' degree-8 checks when a
-//!   single frame is decoded. This is the standard hardware-faithful
-//!   approximation; `alpha ≈ 0.8` recovers most of the sum-product
-//!   performance on the paper's (4,8)-regular codes.
+//!   min-sum: sign product and two-smallest-magnitude tracking, one
+//!   kernel for every lane count and check degree. This is the standard
+//!   hardware-faithful approximation; `alpha ≈ 0.8` recovers most of the
+//!   sum-product performance on the paper's (4,8)-regular codes.
 //!
 //! The decoding engine is the lane-batched one in [`crate::batch`]:
 //! messages live in flat per-edge arrays owned by a reusable

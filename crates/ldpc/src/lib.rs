@@ -23,8 +23,8 @@
 //! * [`kernel`] — the lane-array check-node update kernels behind every
 //!   rule: the exact `tanh`/`atanh` kernel, the φ-table kernel
 //!   ([`kernel::PhiTable`]: lookup + linear interpolation + saturation
-//!   tail, accuracy-tested rather than bit-identical) and the min-sum
-//!   kernel, with degree-8 fast paths for the paper's codes.
+//!   tail, accuracy-tested rather than bit-identical, with a degree-8
+//!   fast path for the paper's codes) and the min-sum kernel.
 //! * [`window`] — terminated coupled codes and the sliding-window decoder
 //!   of Fig. 9, with structural-latency accounting and its nested-`Vec`
 //!   oracle [`window::reference`].

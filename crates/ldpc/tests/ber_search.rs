@@ -2,9 +2,12 @@
 //! are deterministic and thread-count invariant,
 //! `Bisection` reproduces the pre-redesign ladder probe for probe, and
 //! `PairedGrid` matches the hand-rolled paired estimator that
-//! `tests/phi_table.rs` used before the library absorbed it.
+//! `tests/phi_table.rs` used before the library absorbed it. A
+//! frame-counting target pins how many frames the Monte-Carlo driver
+//! decodes past each stop.
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use wi_ldpc::ber::{
     ber_curve_with_threads, log_linear_required_ebn0, required_ebn0_db,
     search_required_ebn0_with_threads, simulate_ber_with_threads, BerSimOptions, BerTarget,
@@ -430,5 +433,188 @@ fn outcomes_distinguish_the_unbracketed_sides() {
         // BER at the low edge is 10^(-0.5/8) ≈ 0.87, already under 0.9.
         let below = search_required_ebn0_with_threads(&easy, 0.9, &opts, &search, 1);
         assert_eq!(below.outcome, SearchOutcome::BelowLo, "{strategy:?}");
+    }
+}
+
+/// [`MockTarget`] that advertises a batch width and counts every frame
+/// the driver hands to `eval_frames_each` — the frames a real target
+/// would decode, whether or not the fold uses them.
+struct CountingTarget {
+    mock: MockTarget,
+    width: usize,
+    decoded: AtomicU64,
+}
+
+impl CountingTarget {
+    fn new(width: usize) -> Self {
+        CountingTarget {
+            mock: MockTarget {
+                bits: 1000,
+                scale: 2.0,
+            },
+            width,
+            decoded: AtomicU64::new(0),
+        }
+    }
+
+    /// Frames decoded since the last call.
+    fn take_decoded(&self) -> u64 {
+        self.decoded.swap(0, Ordering::Relaxed)
+    }
+}
+
+impl BerTarget for CountingTarget {
+    fn bits_per_frame(&self) -> u64 {
+        self.mock.bits_per_frame()
+    }
+
+    fn rate(&self) -> f64 {
+        self.mock.rate()
+    }
+
+    fn eval_frames(
+        &self,
+        ws: &mut BerWorkspace,
+        ebn0_db: f64,
+        seed: u64,
+        frames: Range<u64>,
+    ) -> FrameStats {
+        self.mock.eval_frames(ws, ebn0_db, seed, frames)
+    }
+
+    fn batch_width(&self) -> usize {
+        self.width
+    }
+
+    fn eval_frames_each(
+        &self,
+        ws: &mut BerWorkspace,
+        ebn0_db: f64,
+        seed: u64,
+        first: u64,
+        out: &mut [FrameStats],
+    ) {
+        self.decoded.fetch_add(out.len() as u64, Ordering::Relaxed);
+        for (i, slot) in out.iter_mut().enumerate() {
+            let frame = first + i as u64;
+            *slot = self.mock.eval_frames(ws, ebn0_db, seed, frame..frame + 1);
+        }
+    }
+}
+
+const WIDTHS: [usize; 4] = [1, 2, 4, 8];
+const THREADS: [usize; 4] = [1, 2, 3, 4];
+
+/// The Monte-Carlo driver decodes no frame it is certain to discard: a
+/// point that stops at `min_frames` (or at `max_frames`) decodes exactly
+/// the frames it counts, and one that stops in between overshoots by
+/// less than one full-width batch per worker — at every thread count and
+/// batch width, with the estimate unchanged.
+#[test]
+fn driver_decodes_only_frames_the_stop_rule_may_use() {
+    let opts = BerSimOptions {
+        target_errors: 0,
+        max_frames: 60,
+        min_frames: 20,
+        seed: 0xF10,
+    };
+    // Per-frame errors ≈ 1000 · 10^(−e/2): ~316 at 1 dB, ~32 at 3 dB,
+    // 0 from ~6.3 dB on. `target_errors` spans stops at `min_frames`,
+    // in between and at `max_frames`.
+    let cases: Vec<(f64, u64)> = vec![
+        (1.0, 1),
+        (1.0, 9_000),
+        (1.0, 12_345),
+        (3.0, 700),
+        (3.0, 1_500),
+        (7.0, 1),
+    ];
+    for (ebn0_db, target_errors) in cases {
+        let opts = BerSimOptions {
+            target_errors,
+            ..opts
+        };
+        let mut reference = None;
+        for width in WIDTHS {
+            let target = CountingTarget::new(width);
+            for threads in THREADS {
+                let est = simulate_ber_with_threads(&target, ebn0_db, &opts, threads);
+                let decoded = target.take_decoded();
+                let at = format!("{ebn0_db} dB, {target_errors} errors, {threads}×{width}");
+                let reference = *reference.get_or_insert(est);
+                assert_eq!(est, reference, "{at}: estimate moved");
+                if est.frames == opts.min_frames || est.frames == opts.max_frames {
+                    assert_eq!(decoded, est.frames, "{at}: decoded past a certain stop");
+                } else {
+                    assert!(decoded >= est.frames, "{at}");
+                    assert!(
+                        decoded - est.frames < (threads * width) as u64,
+                        "{at}: {decoded} decoded for {} used",
+                        est.frames
+                    );
+                }
+            }
+        }
+        let frames = reference.expect("measured").frames;
+        if target_errors == 9_000 || target_errors == 1_500 {
+            assert!(
+                frames > opts.min_frames && frames < opts.max_frames,
+                "{ebn0_db} dB, {target_errors} errors stopped at {frames}: case lost its point"
+            );
+        }
+    }
+}
+
+/// The same rule across whole searches: with `target_errors = 1` every
+/// probe stops at `min_frames` (errors) or `max_frames` (error-free), so
+/// a search decodes exactly the frames it reports; with a large error
+/// target each probe overshoots by less than one batch per worker. The
+/// report is identical for every (threads, width) pair and strategy.
+#[test]
+fn searches_decode_no_frame_past_a_certain_stop() {
+    let base = SearchConfig {
+        lo_db: 0.5,
+        hi_db: 8.0,
+        tol_db: 0.25,
+        grid_points: 7,
+        ..SearchConfig::default()
+    };
+    for strategy in [
+        SearchStrategy::Bisection,
+        SearchStrategy::ConcurrentBisection,
+        SearchStrategy::PairedGrid,
+    ] {
+        let search = SearchConfig { strategy, ..base };
+        for target_errors in [1, 5_000] {
+            let opts = BerSimOptions {
+                target_errors,
+                max_frames: 60,
+                min_frames: 20,
+                seed: 0xF10,
+            };
+            let mut reference = None;
+            for width in WIDTHS {
+                let target = CountingTarget::new(width);
+                for threads in THREADS {
+                    let report =
+                        search_required_ebn0_with_threads(&target, 1e-2, &opts, &search, threads);
+                    let decoded = target.take_decoded();
+                    let at = format!("{strategy:?}, {target_errors} errors, {threads}×{width}");
+                    let reference = reference.get_or_insert_with(|| report.clone());
+                    assert_eq!(&report, reference, "{at}: search moved");
+                    if target_errors == 1 {
+                        assert_eq!(decoded, report.frames, "{at}: decoded past a certain stop");
+                    } else {
+                        assert!(decoded >= report.frames, "{at}");
+                        assert!(
+                            decoded - report.frames < report.probes * (threads * width) as u64,
+                            "{at}: {decoded} decoded for {} used over {} probes",
+                            report.frames,
+                            report.probes
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -226,12 +226,34 @@ impl SweepSpec {
         if self.seeds.is_empty() {
             problems.push("spec needs at least one seed".into());
         }
-        if let EvalSpec::NocKnee { rates, .. } = &self.eval {
-            if rates.is_empty() {
-                problems.push("noc_knee eval needs at least one rate".into());
+        match &self.eval {
+            EvalSpec::Ebn0Search {
+                target_ber,
+                max_frames,
+                min_frames,
+                ..
+            } => {
+                if !(*target_ber > 0.0 && *target_ber < 1.0) {
+                    problems.push(format!(
+                        "ebn0_search target_ber {target_ber} must lie in (0, 1)"
+                    ));
+                }
+                if *max_frames == 0 {
+                    problems.push("ebn0_search max_frames must be at least 1".into());
+                }
+                if min_frames > max_frames {
+                    problems.push(format!(
+                        "ebn0_search min_frames {min_frames} exceeds max_frames {max_frames}"
+                    ));
+                }
             }
-            if rates.iter().any(|&r| r <= 0.0) {
-                problems.push("noc_knee rates must be positive".into());
+            EvalSpec::NocKnee { rates, .. } => {
+                if rates.is_empty() {
+                    problems.push("noc_knee eval needs at least one rate".into());
+                }
+                if rates.iter().any(|&r| r <= 0.0) {
+                    problems.push("noc_knee rates must be positive".into());
+                }
             }
         }
         for axis in &self.axes {
@@ -578,6 +600,49 @@ mod tests {
         assert_eq!(bad_axis, 1, "{problems:?}");
         let hotspot = problems.iter().filter(|p| p.contains("9999")).count();
         assert_eq!(hotspot, 2, "{problems:?}");
+    }
+
+    fn search_spec(target_ber: f64, max_frames: u64, min_frames: u64) -> SweepSpec {
+        SweepSpec {
+            eval: EvalSpec::Ebn0Search {
+                target_ber,
+                target_errors: 60,
+                max_frames,
+                min_frames,
+            },
+            ..tiny_spec()
+        }
+    }
+
+    #[test]
+    fn expansion_rejects_a_target_ber_outside_the_unit_interval() {
+        assert!(search_spec(1e-2, 24, 8).expand().is_ok());
+        for bad in [0.0, -1e-3, 1.0, f64::NAN, f64::INFINITY] {
+            let problems = search_spec(bad, 24, 8).expand().unwrap_err();
+            assert!(
+                problems.iter().any(|p| p.contains("target_ber")),
+                "{bad}: {problems:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn expansion_rejects_a_zero_frame_cap() {
+        let problems = search_spec(1e-2, 0, 0).expand().unwrap_err();
+        assert!(
+            problems.iter().any(|p| p.contains("max_frames must be")),
+            "{problems:?}"
+        );
+    }
+
+    #[test]
+    fn expansion_rejects_a_frame_floor_above_the_cap() {
+        assert!(search_spec(1e-2, 24, 24).expand().is_ok());
+        let problems = search_spec(1e-2, 24, 25).expand().unwrap_err();
+        assert_eq!(
+            problems,
+            vec!["ebn0_search min_frames 25 exceeds max_frames 24".to_string()]
+        );
     }
 
     #[test]
